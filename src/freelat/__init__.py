@@ -38,6 +38,7 @@ from .finlat import (
     check_sd_meet,
     d_rank,
     d_rank_op,
+    d_relation,
     dm_completion,
     double,
     find_isomorphism,

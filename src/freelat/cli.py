@@ -391,6 +391,9 @@ def run(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"freelat: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("freelat: term too deeply nested", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

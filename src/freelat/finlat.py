@@ -6,8 +6,13 @@ additionally carries full join and meet tables and is validated at
 construction: if some pair lacks a least upper bound or a greatest lower
 bound, NotALatticeError names the offending pair.
 
-Everything here is exhaustive search tuned for the couple-dozen-element
-lattices this package works with, not for big inputs.
+Join covers and the dependency rank rest on Day's D relation (A. Day,
+Canad. J. Math. 31, 1979): a join irreducible q != a lies in D(a) iff
+some x has a <= q+x but not a <= q_*+x, where q_* is the lower cover of
+q.  These q are exactly the members of the minimal nontrivial join
+covers of a.  Covers, irreducibles, D, the ranks and the dual are
+computed once per lattice object and kept on it, so the lists handed
+out are shared and must not be changed; no size is capped.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ class NotALatticeError(ValueError):
 
 
 class FinitePoset:
-    __slots__ = ("n", "up", "down", "labels", "name", "_covers")
+    __slots__ = ("n", "up", "down", "labels", "name", "_covers", "_lower",
+                 "_upper", "_dual")
 
     def __init__(self, up: Sequence[int], labels: Sequence[str] | None = None,
                  name: str = "P"):
@@ -58,7 +64,7 @@ class FinitePoset:
         if len(set(self.labels)) != n:
             raise ValueError("duplicate labels")
         self.name = name
-        self._covers = None
+        self._covers = self._lower = self._upper = self._dual = None
 
     def leq(self, i: int, j: int) -> bool:
         return bool((self.up[i] >> j) & 1)
@@ -72,13 +78,20 @@ class FinitePoset:
                     if not (self.up[i] & self.down[j] & ~(1 << i) & ~(1 << j)):
                         cs.append((i, j))
             self._covers = sorted(cs)
+            self._lower = [[] for _ in range(self.n)]
+            self._upper = [[] for _ in range(self.n)]
+            for a, b in self._covers:
+                self._lower[b].append(a)
+                self._upper[a].append(b)
         return self._covers
 
     def lower_covers(self, i: int) -> list[int]:
-        return [a for a, b in self.covers() if b == i]
+        self.covers()
+        return self._lower[i]
 
     def upper_covers(self, i: int) -> list[int]:
-        return [b for a, b in self.covers() if a == i]
+        self.covers()
+        return self._upper[i]
 
     def heights(self) -> list[int]:
         """Length of the longest chain up to each element from a minimal one."""
@@ -94,15 +107,20 @@ class FinitePoset:
         except ValueError:
             raise KeyError(f"no element labeled {label!r} in {self.name}") from None
 
-    def dual(self) -> "FinitePoset":
-        return FinitePoset(self.down, self.labels, self.name + ".op")
+    def dual(self):
+        """The order turned upside down, of the same class; built once, and
+        its own dual is this object again."""
+        if self._dual is None:
+            self._dual = type(self)(self.down, self.labels, self.name + ".op")
+            self._dual._dual = self
+        return self._dual
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} n={self.n}>"
 
 
 class FiniteLattice(FinitePoset):
-    __slots__ = ("joins", "meets", "bottom", "top")
+    __slots__ = ("joins", "meets", "bottom", "top", "_jis", "_D", "_rank")
 
     def __init__(self, up: Sequence[int], labels: Sequence[str] | None = None,
                  name: str = "L"):
@@ -129,6 +147,7 @@ class FiniteLattice(FinitePoset):
         full = (1 << n) - 1
         self.bottom = self._least(full)
         self.top = self._greatest(full)
+        self._jis = self._D = self._rank = None
 
     def _least(self, mask: int) -> int | None:
         for k in _bits(mask):
@@ -159,9 +178,6 @@ class FiniteLattice(FinitePoset):
         for e in elems:
             r = self.meets[r][e]
         return r
-
-    def dual(self) -> "FiniteLattice":
-        return FiniteLattice(self.down, self.labels, self.name + ".op")
 
 
 def _transitive_rows(n: int, covers: Iterable[tuple[int, int]]) -> list[int]:
@@ -197,7 +213,9 @@ def from_covers(name: str, n: int, covers: Iterable[tuple[int, int]],
 
 def join_irreducibles(L: FiniteLattice) -> list[int]:
     """Elements with exactly one lower cover; the bottom never qualifies."""
-    return [i for i in range(L.n) if len(L.lower_covers(i)) == 1]
+    if L._jis is None:
+        L._jis = [i for i in range(L.n) if len(L.lower_covers(i)) == 1]
+    return L._jis
 
 
 def meet_irreducibles(L: FiniteLattice) -> list[int]:
@@ -263,31 +281,52 @@ def check_sd_meet(L: FiniteLattice) -> tuple[bool, tuple[int, int, int] | None]:
     return True, None
 
 
+def d_relation(L: FiniteLattice) -> list[int]:
+    """D(a) for every element a, as a bitmask of join irreducibles.
+
+    q is in D(a) iff q != a and some x has a <= q+x but not a <= q_*+x.
+    For each q the elements a with such an x are one union over x of
+    down(q+x) minus down(q_*+x).
+    """
+    if L._D is None:
+        D = [0] * L.n
+        for q in join_irreducibles(L):
+            jq, js = L.joins[q], L.joins[L.lower_covers(q)[0]]
+            hit = 0
+            for x in range(L.n):
+                hit |= L.down[jq[x]] & ~L.down[js[x]]
+            for a in _bits(hit & ~(1 << q)):
+                D[a] |= 1 << q
+        L._D = D
+    return L._D
+
+
 def minimal_join_covers(L: FiniteLattice, a: int) -> list[tuple[int, ...]]:
     """Minimal nontrivial join covers of a, as sorted index tuples.
 
     A cover is a set C with a <= join(C) but a below no single member;
     C refines D when every element of C is below some element of D, and
-    the covers returned are the minimal ones in that order.  Only
-    antichains of join irreducibles can qualify, so the search runs over
-    those.
+    the covers returned are the minimal ones in that order.  Every member
+    of a minimal cover lies in D(a), so the search backtracks over
+    antichains inside D(a) and stops growing a set once it covers a.
     """
-    jis = join_irreducibles(L)
-    if len(jis) > 20:
-        raise ValueError(f"{L.name}: too many join irreducibles ({len(jis)})")
+    ds = list(_bits(d_relation(L)[a]))
+    up, joins = L.up, L.joins
     cands: list[tuple[int, ...]] = []
-    for mask in range(1, 1 << len(jis)):
-        C = [jis[i] for i in _bits(mask)]
-        if any(L.leq(a, c) for c in C):
-            continue
-        if any(L.leq(C[i], C[j]) or L.leq(C[j], C[i])
-               for i in range(len(C)) for j in range(i + 1, len(C))):
-            continue
-        if not L.leq(a, L.join_all(C)):
-            continue
-        if any(L.leq(a, L.join_all(C[:i] + C[i + 1:])) for i in range(len(C))):
-            continue  # redundant member
-        cands.append(tuple(sorted(C)))
+
+    def grow(C: list[int], top: int, start: int) -> None:
+        for k in range(start, len(ds)):
+            c = ds[k]
+            if any((up[c] >> d) & 1 or (up[d] >> c) & 1 for d in C):
+                continue
+            C2, j = C + [c], joins[top][c]
+            if not (up[a] >> j) & 1:
+                grow(C2, j, k + 1)
+            elif not any(L.leq(a, L.join_all(C2[:i] + C2[i + 1:]))
+                         for i in range(len(C2))):
+                cands.append(tuple(C2))   # no redundant member
+
+    grow([], L.bottom, 0)
 
     def refines(D: tuple[int, ...], C: tuple[int, ...]) -> bool:
         return all(any(L.leq(d, c) for c in C) for d in D)
@@ -302,30 +341,29 @@ def minimal_meet_covers(L: FiniteLattice, a: int) -> list[tuple[int, ...]]:
 
 
 def d_rank(L: FiniteLattice) -> tuple[list[int | None], int | None]:
-    """Least k with every minimal join cover chain grounded after k steps.
+    """Length of the longest D-path from each element, and the lattice's rank.
 
-    rho[a] = 0 when a has no nontrivial minimal join cover, and otherwise
-    1 + the largest rho across all members of all its minimal covers; a
-    stays None when that recursion never grounds.  The second component
-    is the maximum over join irreducibles, or None if one of them is
-    unranked (the lattice is then not lower bounded).
+    rho[a] = 0 when D(a) is empty (a has no nontrivial join cover), and
+    otherwise 1 + the largest rho over D(a); a stays None when it reaches
+    a D-cycle.  The second component is the maximum over join
+    irreducibles, or None if one of them is unranked: D is then cyclic
+    and the lattice is not lower bounded.  Computed once per lattice.
     """
-    covers_of = [minimal_join_covers(L, a) for a in range(L.n)]
-    rho: list[int | None] = [0 if not covers_of[a] else None for a in range(L.n)]
-    changed = True
-    while changed:
-        changed = False
-        for a in range(L.n):
-            if rho[a] is not None:
-                continue
-            members = [c for C in covers_of[a] for c in C]
-            if all(rho[c] is not None for c in members):
-                rho[a] = 1 + max(rho[c] for c in members)
-                changed = True
-    jis = join_irreducibles(L)
-    if any(rho[j] is None for j in jis):
-        return rho, None
-    return rho, max((rho[j] for j in jis), default=0)
+    if L._rank is None:
+        D = d_relation(L)
+        rho: list[int | None] = [None if D[a] else 0 for a in range(L.n)]
+        changed = True
+        while changed:
+            changed = False
+            for a in range(L.n):
+                if rho[a] is None:
+                    below = [rho[q] for q in _bits(D[a])]
+                    if None not in below:
+                        rho[a] = 1 + max(below)
+                        changed = True
+        ranks = [rho[j] for j in join_irreducibles(L)]
+        L._rank = rho, None if None in ranks else max(ranks, default=0)
+    return L._rank
 
 
 def d_rank_op(L: FiniteLattice) -> tuple[list[int | None], int | None]:

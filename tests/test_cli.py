@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from freelat.builders import chain
 from freelat.cli import run
+from freelat.finlat import dm_completion, join_irreducibles, poset_from_covers
+from freelat.latfile import dumps
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -65,6 +68,16 @@ def test_parse_error_exits_2(capsys):
     assert run(["canon", "-g", "x,x", "x"]) == 2
 
 
+def test_deeply_nested_term_exits_2(capsys):
+    t = "x"
+    for _ in range(1500):
+        t = f"({t}+y)*z"
+    assert run(["canon", t]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == "freelat: term too deeply nested"
+    assert captured.out == ""
+
+
 def test_lat_check(tmp_path, capsys):
     assert run(["lat", "check", "builtin:n5"]) == 0
     assert "n=5 covers=5" in capsys.readouterr().out
@@ -104,6 +117,35 @@ def test_lat_drank(capsys):
     assert "rank lower=1 upper=1" in capsys.readouterr().out
     assert run(["lat", "drank", "builtin:m3"]) == 0
     assert "rank lower=none upper=none" in capsys.readouterr().out
+
+
+def _drank_lines(path, capsys):
+    assert run(["lat", "drank", str(path)]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_lat_drank_past_twenty_join_irreducibles(tmp_path, capsys):
+    # A chain is distributive: a <= q+x with q < a forces x >= a, hence
+    # a <= q_*+x too, so every D(a) is empty and every rank is 0.
+    C = chain(30)
+    assert len(join_irreducibles(C)) == 29
+    path = tmp_path / "chain30.lat"
+    path.write_text(dumps(C))
+    lines = _drank_lines(path, capsys)
+    assert lines == [f"elem {lbl} lower=0 upper=0" for lbl in C.labels] + \
+        ["rank lower=0 upper=0"]
+    # The completion of a 21-antichain is M_21.  For atoms p != q, p <= q+r
+    # but not p <= 0+r for any third atom r, so D(p) holds every other
+    # atom: D is cyclic and no atom, nor the top, is ranked.  Only the
+    # bottom has no cover.  M_21 is self-dual, with bottom and top swapped.
+    M, _ = dm_completion(poset_from_covers("anti21", 21, []))
+    assert len(join_irreducibles(M)) == 21
+    path = tmp_path / "m21.lat"
+    path.write_text(dumps(M))
+    lines = _drank_lines(path, capsys)
+    want = {M.bottom: "lower=0 upper=None", M.top: "lower=None upper=0"}
+    assert lines == [f"elem {M.labels[i]} {want.get(i, 'lower=None upper=None')}"
+                     for i in range(M.n)] + ["rank lower=none upper=none"]
 
 
 def test_lat_sd_and_w(capsys):

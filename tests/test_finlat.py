@@ -1,5 +1,10 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from freelat.bhom import Hom
 from freelat.builders import (
     build_a,
     build_fd3,
@@ -13,6 +18,7 @@ from freelat.builders import (
     pentagon,
 )
 from freelat.finlat import (
+    FiniteLattice,
     FinitePoset,
     NotALatticeError,
     check_W,
@@ -20,6 +26,7 @@ from freelat.finlat import (
     check_sd_meet,
     d_rank,
     d_rank_op,
+    d_relation,
     dm_completion,
     double,
     find_isomorphism,
@@ -34,6 +41,66 @@ from freelat.finlat import (
     to_dot,
 )
 from freelat.terms import GeneratorSet, evaluate, parse_term
+
+
+# Oracles: the exhaustive subset scan over J(L) and the cover-based rank
+# that the D relation replaced.  They read nothing but the order and the
+# join table, so they check d_relation and the caches as well.
+
+def brute_join_irreducibles(L):
+    uppers = [hi for _, hi in L.covers()]
+    return [i for i in range(L.n) if uppers.count(i) == 1]
+
+
+def brute_minimal_join_covers(L, a):
+    jis = brute_join_irreducibles(L)
+    cands = []
+    for mask in range(1, 1 << len(jis)):
+        C = [jis[i] for i in range(len(jis)) if (mask >> i) & 1]
+        if any(L.leq(a, c) for c in C):
+            continue
+        if any(L.leq(C[i], C[j]) or L.leq(C[j], C[i])
+               for i in range(len(C)) for j in range(i + 1, len(C))):
+            continue
+        if not L.leq(a, L.join_all(C)):
+            continue
+        if any(L.leq(a, L.join_all(C[:i] + C[i + 1:])) for i in range(len(C))):
+            continue
+        cands.append(tuple(sorted(C)))
+
+    def refines(D, C):
+        return all(any(L.leq(d, c) for c in C) for d in D)
+
+    out = [C for C in cands if not any(D != C and refines(D, C) for D in cands)]
+    return sorted(out, key=lambda C: (len(C), C))
+
+
+def brute_d_rank(L):
+    covers_of = [brute_minimal_join_covers(L, a) for a in range(L.n)]
+    rho = [0 if not covers_of[a] else None for a in range(L.n)]
+    changed = True
+    while changed:
+        changed = False
+        for a in range(L.n):
+            members = [c for C in covers_of[a] for c in C]
+            if rho[a] is None and all(rho[c] is not None for c in members):
+                rho[a] = 1 + max(rho[c] for c in members)
+                changed = True
+    jis = brute_join_irreducibles(L)
+    if any(rho[j] is None for j in jis):
+        return rho, None
+    return rho, max((rho[j] for j in jis), default=0)
+
+
+def assert_matches_oracle(L):
+    # the oracle's dual is built afresh, not taken from L's cache
+    fresh_dual = FiniteLattice(L.down, L.labels, L.name + ".op")
+    assert d_rank(L) == brute_d_rank(L)
+    assert d_rank_op(L) == brute_d_rank(fresh_dual)
+    for a in range(L.n):
+        assert minimal_join_covers(L, a) == brute_minimal_join_covers(L, a)
+        assert minimal_meet_covers(L, a) == \
+            brute_minimal_join_covers(fresh_dual, a)
 
 
 def test_poset_validation():
@@ -139,6 +206,60 @@ def test_d_rank_values_on_pentagon():
     rho, _ = d_rank(N5)
     assert rho[N5.index_of("a")] == 0
     assert rho[N5.index_of("c")] == 1
+
+
+def test_d_relation_on_pentagon():
+    N5 = pentagon()
+    a, b, c, top = (N5.index_of(l) for l in ("a", "b", "c", "1"))
+    D = d_relation(N5)
+    # c <= b + a but not c <= 0 + a, and the same with a and b swapped;
+    # the top's cover {a, c} refines to {a, b}, so c is not in D(top)
+    assert D[c] == D[top] == (1 << a) | (1 << b)
+    assert D[a] == D[b] == D[N5.bottom] == 0
+    assert d_relation(N5) is D
+
+
+def test_fast_covers_and_ranks_match_oracle_on_builtins():
+    for L in extended_catalog() + [build_fd3(), build_a()]:
+        assert_matches_oracle(L)
+        assert_matches_oracle(L.dual())
+
+
+def test_fast_covers_and_ranks_match_oracle_on_catalog_images():
+    G = GeneratorSet(("x", "y", "z"))
+    count = 0
+    for L in catalog():
+        for images in itertools.product(range(L.n), repeat=3):
+            S, _, _ = Hom(G, L, dict(zip("xyz", images))).image_sublattice()
+            assert_matches_oracle(S)
+            count += 1
+    assert count == 789
+
+
+@st.composite
+def small_orders(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return poset_from_covers("rand", n, [p for p, keep in zip(pairs, chosen) if keep])
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_orders())
+def test_fast_covers_and_ranks_match_oracle_on_random_completions(P):
+    L, _ = dm_completion(P)
+    # join irreducibles of a completion are images of P, so the scan stays small
+    assert len(join_irreducibles(L)) <= P.n <= 20
+    assert_matches_oracle(L)
+
+
+def test_caches_are_kept_on_the_lattice():
+    F = build_fd3()
+    assert F.dual().dual() is F
+    assert d_rank(F) is d_rank(F)
+    assert join_irreducibles(F) is join_irreducibles(F)
+    assert F.lower_covers(F.top) == [a for a, b in F.covers() if b == F.top]
+    assert F.upper_covers(F.bottom) == [b for a, b in F.covers() if a == F.bottom]
 
 
 def test_check_w_and_sd():
