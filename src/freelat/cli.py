@@ -9,7 +9,6 @@ nothing was certified.  Usage and input errors exit 2.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -117,11 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="freelat",
         description="free-lattice terms, finite quotients, and the checks built on them")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("FREELAT_JOBS", "1")),
-                   help="worker hint; the current build always runs sequentially")
-    p.add_argument("--seed", type=int, default=12345,
-                   help="seed for sampled searches; no current subcommand samples")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def gens_arg(sp):
@@ -213,10 +207,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       ("separate", "find a finite quotient separating two terms")]:
         sp = ver.add_parser(name, help=hlp)
         fmt_arg(sp)
-        if name == "pi3-f3":
-            sp.add_argument("--max-size", type=int, default=6)
-        if name == "pi3-f4":
-            sp.add_argument("--max-size", type=int, default=4)
+        if name in ("pi3-f3", "pi3-f4"):
+            sp.add_argument("--max-size", type=int,
+                            default=6 if name == "pi3-f3" else 4)
             sp.add_argument("--budget", type=float, default=None,
                             help="seconds before giving up")
         if name == "separate":
@@ -329,7 +322,7 @@ def _cmd_verify(args) -> int:
     elif args.vercmd == "fig3":
         rep = V.verify_figure3()
     elif args.vercmd == "pi3-f3":
-        rep = V.check_pi3_in_f3(args.max_size)
+        rep = V.check_pi3_in_f3(args.max_size, args.budget)
     elif args.vercmd == "pi3-f4":
         rep = V.search_pi3_in_f4(args.max_size, args.budget)
     else:

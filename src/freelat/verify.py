@@ -11,9 +11,12 @@ verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import time
 from math import comb
+from typing import Iterable
 
 from .bhom import Hom, kernel_table
 from .builders import (
@@ -46,7 +49,6 @@ from .whitman import (
     equal,
     in_interval,
     leq,
-    ni_predicate,
 )
 
 _G3 = GeneratorSet(("x", "y", "z"))
@@ -169,106 +171,179 @@ def verify_figure3() -> Report:
     return rep
 
 
-def _below_matrix(pool: list[Term], idx: dict[Term, int],
-                  ops_idx: list[tuple[int, ...]]) -> list[int]:
-    """below[i] has bit k set iff pool[k] <= pool[i].
-
-    Filled column by column in pool order (sizes never decrease), by the
-    order recursion on term shapes; operands of a pool term are pool
-    terms of strictly smaller size, so every lookup is already filled.
-    """
-    n = len(pool)
-    below: list[int] = []
-    for i in range(n):
-        ti = pool[i]
-        col = 1 << i
-        for k in range(n):
-            if k == i:
-                continue
-            tk = pool[k]
-            if tk.kind == JOIN:
-                bit = all((col >> o) & 1 for o in ops_idx[k])
-            elif tk.kind == MEET:
-                if ti.kind == MEET:
-                    bit = all((below[o] >> k) & 1 for o in ops_idx[i])
-                else:
-                    bit = any((col >> o) & 1 for o in ops_idx[k])
-                    if not bit and ti.kind == JOIN:
-                        bit = any((below[o] >> k) & 1 for o in ops_idx[i])
-            else:  # tk is a generator
-                if ti.kind == GEN:
-                    bit = False
-                elif ti.kind == JOIN:
-                    bit = any((below[o] >> k) & 1 for o in ops_idx[i])
-                else:
-                    bit = all((below[o] >> k) & 1 for o in ops_idx[i])
-            if bit:
-                col |= 1 << k
-        below.append(col)
-    return below
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
 
 
 class _F3Search:
-    """Shared tables for the coverage check over 3-generator terms."""
+    """A pool of canonical terms with every order question of the
+    coverage search answered on pool indices and bitmasks, without
+    building a term.
 
-    def __init__(self, max_size: int):
-        self.pool = list(enumerate_terms(_G3, max_size))
-        self.idx = {t: i for i, t in enumerate(self.pool)}
-        self.n = len(self.pool)
-        self.ops_idx = [tuple(self.idx[o] for o in t.ops) for t in self.pool]
-        self.below = _below_matrix(self.pool, self.idx, self.ops_idx)
-        self.above = [0] * self.n
-        for i in range(self.n):
-            for k in range(self.n):
-                if (self.below[i] >> k) & 1:
-                    self.above[k] |= 1 << i
+    The pool must list every operand of a term before the term, as
+    enumerate_terms does (sizes never decrease).  below[i] has bit k set
+    iff pool[k] <= pool[i], above[i] iff pool[i] <= pool[k], and
+    opmask[i] is the set of pool[i]'s operands.
+    """
+
+    def __init__(self, pool: Iterable[Term]):
+        self.pool = list(pool)
+        idx = {t: i for i, t in enumerate(self.pool)}
+        self.n = n = len(self.pool)
+        self.kind = [t.kind for t in self.pool]
+        self.ops = [tuple(idx[o] for o in t.ops) for t in self.pool]
+        self.opmask = [sum(1 << o for o in ops) for ops in self.ops]
+        # (bit, operand mask, is a join) of each compound term, in order
+        self._shapes = [(1 << k, self.opmask[k], self.kind[k] == JOIN)
+                        for k in range(n) if self.kind[k] != GEN]
+        self.below: list[int] = []
+        self.above: list[int] = []
+        for i, (kind, ops) in enumerate(zip(self.kind, self.ops)):
+            bit = 1 << i
+            down = [self.below[o] for o in ops]
+            up = [self.above[o] for o in ops]
+            # below a meet iff below every meetand, above a join iff
+            # above every joinand
+            self.below.append(
+                bit | functools.reduce(operator.and_, down) if kind == MEET
+                else self._down(bit | functools.reduce(operator.or_, down, 0)))
+            self.above.append(
+                bit | functools.reduce(operator.and_, up) if kind == JOIN
+                else self._up(bit | functools.reduce(operator.or_, up, 0)))
         self._joins: dict[tuple[int, int], int] = {}
         self._meets: dict[tuple[int, int], int] = {}
 
+    def _down(self, col: int) -> int:
+        """The pool terms below a generator or a formal join e, given in
+        col the terms below e's joinands (or e itself): add, in pool
+        order, each join whose operands are all in col and each meet with
+        an operand in col.  By Whitman's recursion nothing else lies
+        below e, and every operand is settled before its term."""
+        for bit, om, is_join in self._shapes:
+            if (not om & ~col) if is_join else om & col:
+                col |= bit
+        return col
+
+    def _up(self, col: int) -> int:
+        """Dually, the pool terms above a generator or a formal meet e,
+        given in col the terms above e's meetands (or e itself)."""
+        for bit, om, is_join in self._shapes:
+            if om & col if is_join else not om & ~col:
+                col |= bit
+        return col
+
+    def leq_join(self, a: int, mask: int) -> bool:
+        """pool[a] <= the join of the members in mask.
+
+        True if pool[a] lies below a member.  Otherwise a generator is
+        not below, a join is below iff all its operands are, and a meet
+        iff one of its operands is.  This is exact by Whitman's
+        condition (W): every joinand of a member lies below that member,
+        so testing whole members is enough."""
+        if self.above[a] & mask:
+            return True
+        kind = self.kind[a]
+        if kind == JOIN:
+            for o in self.ops[a]:
+                if not self.leq_join(o, mask):
+                    return False
+            return True
+        if kind == MEET:
+            for o in self.ops[a]:
+                if self.leq_join(o, mask):
+                    return True
+        return False
+
+    def geq_meet(self, a: int, mask: int) -> bool:
+        """The meet of the members in mask <= pool[a]; dual of leq_join."""
+        if self.below[a] & mask:
+            return True
+        kind = self.kind[a]
+        if kind == MEET:
+            for o in self.ops[a]:
+                if not self.geq_meet(o, mask):
+                    return False
+            return True
+        if kind == JOIN:
+            for o in self.ops[a]:
+                if self.geq_meet(o, mask):
+                    return True
+        return False
+
+    def is_free(self, members: tuple[int, ...]) -> bool:
+        """The distinct pool terms in members are independent: none lies
+        below the join or above the meet of the others, so
+        whitman.ni_predicate is false on them."""
+        mask = 0
+        for q in members:
+            mask |= 1 << q
+        for q in members:
+            rest = mask ^ (1 << q)
+            if self.leq_join(q, rest) or self.geq_meet(q, rest):
+                return False
+        return True
+
     def below_join(self, i: int, j: int) -> int:
-        """Bit k set iff pool[k] <= pool[i] + pool[j]; same recursion as
-        the matrix, against the formal two-element join."""
+        """Bit k set iff pool[k] <= pool[i] + pool[j]."""
         key = (i, j) if i <= j else (j, i)
         col = self._joins.get(key)
-        if col is not None:
-            return col
-        base = self.below[i] | self.below[j]
-        col = 0
-        for k in range(self.n):
-            if (base >> k) & 1:
-                col |= 1 << k
-                continue
-            tk = self.pool[k]
-            if tk.kind == JOIN:
-                if all((col >> o) & 1 for o in self.ops_idx[k]):
-                    col |= 1 << k
-            elif tk.kind == MEET:
-                if any((col >> o) & 1 for o in self.ops_idx[k]):
-                    col |= 1 << k
-        self._joins[key] = col
+        if col is None:
+            col = self._joins[key] = self._down(self.below[i] | self.below[j])
         return col
 
     def above_meet(self, i: int, j: int) -> int:
-        """Bit k set iff pool[i] * pool[j] <= pool[k], dually."""
+        """Bit k set iff pool[i] * pool[j] <= pool[k]."""
         key = (i, j) if i <= j else (j, i)
         col = self._meets.get(key)
-        if col is not None:
-            return col
-        base = self.above[i] | self.above[j]
-        col = 0
-        for k in range(self.n):
-            if (base >> k) & 1:
-                col |= 1 << k
-                continue
-            tk = self.pool[k]
-            if tk.kind == MEET:
-                if all((col >> o) & 1 for o in self.ops_idx[k]):
-                    col |= 1 << k
-            elif tk.kind == JOIN:
-                if any((col >> o) & 1 for o in self.ops_idx[k]):
-                    col |= 1 << k
-        self._meets[key] = col
+        if col is None:
+            col = self._meets[key] = self._up(self.above[i] | self.above[j])
         return col
+
+    def compatible(self) -> list[int]:
+        """compat[i] has bit j set iff pool[i] and pool[j] may sit in one
+        free tuple of four: they are incomparable, and their meet is not
+        the bottom nor their join the top (the other members would lie
+        above or below it)."""
+        n = self.n
+        gens = [i for i in range(n) if self.kind[i] == GEN]
+        every = (1 << len(gens)) - 1
+        # which generators lie below (above) each term
+        gens_below = [sum(1 << p for p, g in enumerate(gens)
+                          if (self.below[i] >> g) & 1) for i in range(n)]
+        gens_above = [sum(1 << p for p, g in enumerate(gens)
+                          if (self.above[i] >> g) & 1) for i in range(n)]
+        compat = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if ((self.below[i] | self.above[i]) >> j) & 1:
+                    continue
+                if (gens_below[i] | gens_below[j] == every
+                        or gens_above[i] | gens_above[j] == every):
+                    continue
+                compat[i] |= 1 << j
+                compat[j] |= 1 << i
+        return compat
+
+    def quads_from(self, i: int, compat: list[int]):
+        """Quads i < j < k < l of pairwise compatible terms where no
+        member lies below the join or above the meet of two others: the
+        candidates left for is_free."""
+        ci = compat[i] >> (i + 1) << (i + 1)
+        for j in _bits(ci):
+            cij = (ci & compat[j]
+                   & ~self.below_join(i, j) & ~self.above_meet(i, j))
+            cij = cij >> (j + 1) << (j + 1)
+            for k in _bits(cij):
+                cijk = (cij & compat[k]
+                        & ~self.below_join(i, k) & ~self.above_meet(i, k)
+                        & ~self.below_join(j, k) & ~self.above_meet(j, k))
+                cijk = cijk >> (k + 1) << (k + 1)
+                for l in _bits(cijk):
+                    yield i, j, k, l
 
 
 def _coverage_tables(pool: list[Term]) -> tuple[list[str], list[int]]:
@@ -312,7 +387,8 @@ def _union_checks(names: list[str]) -> list[tuple[str, int]]:
     return out
 
 
-def check_pi3_in_f3(max_size: int = 6) -> Report:
+def check_pi3_in_f3(max_size: int = 6,
+                    budget_seconds: float | None = None) -> Report:
     """Every 4-tuple of canonical 3-generator terms (size <= max_size)
     that freely generates is covered by one of the nine interval unions.
 
@@ -322,86 +398,57 @@ def check_pi3_in_f3(max_size: int = 6) -> Report:
     sit above or below it), and no member may sit under the join or over
     the meet of two others.  Survivors are confirmed free by the direct
     definition, so the pruning can only discard tuples that were never
-    free."""
+    free.  With a budget the clock is read once per first member; a
+    search cut short is inconclusive unless a free tuple it found is
+    uncovered."""
     t0 = time.time()
     rep = Report("pi3-coverage-in-f3")
     rep.set("max_size", max_size)
-    S = _F3Search(max_size)
+    S = _F3Search(enumerate_terms(_G3, max_size))
     n = S.n
     rep.set("terms", n)
     names, member = _coverage_tables(S.pool)
     unions = _union_checks(names)
 
-    genbits_up = []   # 3-bit mask: which generators lie below the term
-    genbits_dn = []   # which generators lie above it
-    gidx = [S.idx[gen(g)] for g in "xyz"]
-    for i in range(n):
-        genbits_dn.append(sum(1 << p for p, gi in enumerate(gidx)
-                              if (S.below[gi] >> i) & 1))
-        genbits_up.append(sum(1 << p for p, gi in enumerate(gidx)
-                              if (S.below[i] >> gi) & 1))
+    compat = S.compatible()
+    rep.set("compatible_pairs", sum(c.bit_count() for c in compat) // 2)
 
-    compat = [0] * n
-    pair_count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (S.below[i] >> j) & 1 or (S.below[j] >> i) & 1:
-                continue  # comparable
-            if genbits_up[i] | genbits_up[j] == 7:
-                continue  # meet is the bottom
-            if genbits_dn[i] | genbits_dn[j] == 7:
-                continue  # join is the top
-            compat[i] |= 1 << j
-            compat[j] |= 1 << i
-            pair_count += 1
-    rep.set("compatible_pairs", pair_count)
-
-    def bits(mask: int):
-        while mask:
-            b = mask & -mask
-            yield b.bit_length() - 1
-            mask ^= b
-
-    free_tuples = []
-    checked = 0
-    for i in range(n):
-        ci = compat[i] >> (i + 1) << (i + 1)
-        if not ci:
-            continue
-        for j in bits(ci):
-            cij = ci & compat[j] & ~S.below_join(i, j) & ~S.above_meet(i, j)
-            cij = cij >> (j + 1) << (j + 1)
-            for k in bits(cij):
-                cijk = (cij & compat[k]
-                        & ~S.below_join(i, k) & ~S.above_meet(i, k)
-                        & ~S.below_join(j, k) & ~S.above_meet(j, k))
-                cijk = cijk >> (k + 1) << (k + 1)
-                for l in bits(cijk):
-                    checked += 1
-                    quad = (S.pool[i], S.pool[j], S.pool[k], S.pool[l])
-                    if not ni_predicate(quad):
-                        free_tuples.append((i, j, k, l))
-    rep.set("tuples_surviving_pair_filters", checked)
-    rep.set("free_tuples", len(free_tuples))
-
+    # free tuples are classified as they are found and not kept: every
+    # one is logged only when there are at most 200, else the uncovered
     union_hist = {nm: 0 for nm, _ in unions}
+    first: list[tuple[tuple[int, ...], str | None]] = []
     uncovered = []
-    log_all = len(free_tuples) <= 200
-    for quad in free_tuples:
-        hit = next((nm for nm, umask in unions
-                    if all(member[q] & umask for q in quad)), None)
-        if hit is None:
-            uncovered.append(quad)
-        else:
-            union_hist[hit] += 1
-        if hit is None or log_all:
-            rep.add_line(tuple=[print_term(S.pool[q]) for q in quad],
-                         covered_by=hit or "none")
+    checked = free = 0
+    stopped = False
+    for i in range(n):
+        if budget_seconds is not None and time.time() - t0 > budget_seconds:
+            rep.set("stopped", f"during tuple search at term {i} of {n}")
+            stopped = True
+            break
+        for quad in S.quads_from(i, compat):
+            checked += 1
+            if not S.is_free(quad):
+                continue
+            free += 1
+            hit = next((nm for nm, umask in unions
+                        if all(member[q] & umask for q in quad)), None)
+            if hit is None:
+                uncovered.append(quad)
+            else:
+                union_hist[hit] += 1
+            if free <= 200:
+                first.append((quad, hit))
+    rep.set("tuples_surviving_pair_filters", checked)
+    rep.set("free_tuples", free)
+    logged = first if free <= 200 else [(q, None) for q in uncovered]
+    for quad, hit in logged:
+        rep.add_line(tuple=[print_term(S.pool[q]) for q in quad],
+                     covered_by=hit or "none")
     for nm in union_hist:
         rep.set(f"covered_by_{nm}", union_hist[nm])
     rep.set("uncovered", len(uncovered))
-    rep.set("vacuous", not free_tuples)
-    rep.status = PASS if not uncovered else FAIL
+    rep.set("vacuous", not free)
+    rep.status = FAIL if uncovered else INCONCLUSIVE if stopped else PASS
     rep.elapsed = time.time() - t0
     return rep
 

@@ -240,6 +240,14 @@ def test_verify_pi3_small(capsys):
     assert "inconclusive" in capsys.readouterr().out
 
 
+def test_verify_pi3_f3_budget_exits_1(capsys):
+    assert run(["verify", "pi3-f3", "--max-size", "5", "--budget", "0",
+                "--format", "records"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("claim=pi3-coverage-in-f3 status=inconclusive-budget")
+    assert "data stopped=during_tuple_search_at_term_0_of_121" in out
+
+
 def test_verify_separate(capsys):
     assert run(["verify", "separate", "x", "y", "--format", "records"]) == 0
     assert "lattice=pentagon" in capsys.readouterr().out
@@ -247,8 +255,9 @@ def test_verify_separate(capsys):
     assert "nothing separates" in capsys.readouterr().err
 
 
-def test_global_flags_accepted(capsys):
-    assert run(["--jobs", "4", "--seed", "7", "leq", "x", "x"]) == 0
+def test_global_jobs_and_seed_flags_are_usage_errors(capsys):
+    assert run(["--jobs", "4", "leq", "x", "x"]) == 2
+    assert run(["--seed", "7", "leq", "x", "x"]) == 2
 
 
 def test_help_exits_0(capsys):

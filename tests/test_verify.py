@@ -8,7 +8,6 @@ from freelat.terms import enumerate_terms, gen, join, meet, parse_term, print_te
 from freelat.verify import (
     _G3,
     _G4,
-    _below_matrix,
     _coverage_tables,
     _F3Search,
     _mask_key,
@@ -21,9 +20,13 @@ from freelat.verify import (
     verify_figure2,
     verify_figure3,
 )
-from freelat.whitman import Interval, canonical_form, in_interval, leq
+from freelat.whitman import Interval, canonical_form, in_interval, leq, ni_predicate
 
 SEED = 12345
+
+
+def _pool(max_size):
+    return _F3Search(enumerate_terms(_G3, max_size))
 
 
 def test_figure1_report():
@@ -62,16 +65,17 @@ def test_figure3_report():
 
 
 def test_below_matrix_agrees_with_leq():
-    S = _F3Search(4)
+    S = _pool(4)
     for i in range(S.n):
         for k in range(S.n):
             got = bool((S.below[i] >> k) & 1)
             assert got == leq(S.pool[k], S.pool[i]), (
                 print_term(S.pool[k]), print_term(S.pool[i]))
+            assert bool((S.above[k] >> i) & 1) == got
 
 
 def test_join_meet_columns_agree_with_leq():
-    S = _F3Search(4)
+    S = _pool(4)
     rng = random.Random(SEED)
     pairs = [(rng.randrange(S.n), rng.randrange(S.n)) for _ in range(60)]
     for i, j in pairs:
@@ -84,8 +88,50 @@ def test_join_meet_columns_agree_with_leq():
             assert bool((am >> k) & 1) == leq(tm, S.pool[k])
 
 
+def test_leq_join_geq_meet_agree_with_leq():
+    S = _pool(4)
+    rng = random.Random(SEED)
+    for _ in range(3000):
+        a = rng.randrange(S.n)
+        members = rng.sample(range(S.n), rng.randint(1, 3))
+        mask = sum(1 << m for m in members)
+        ts = [S.pool[m] for m in members]
+        assert S.leq_join(a, mask) == leq(S.pool[a], join(*ts))
+        assert S.geq_meet(a, mask) == leq(meet(*ts), S.pool[a])
+
+
+def test_is_free_agrees_with_ni_predicate_on_size_five_survivors():
+    S = _pool(5)
+    compat = S.compatible()
+    checked = free = 0
+    for i in range(S.n):
+        for quad in S.quads_from(i, compat):
+            got = S.is_free(quad)
+            assert got == (not ni_predicate([S.pool[q] for q in quad])), quad
+            checked += 1
+            free += got
+    assert (checked, free) == (44589, 1023)
+
+
+def test_is_free_agrees_with_ni_predicate_on_random_quads():
+    S = _pool(4)
+    rng = random.Random(SEED)
+    comparable = 0
+    for n in range(2000):
+        quad = rng.sample(range(S.n), 4)
+        if n % 2:
+            # swap in a term comparable to the first member
+            near = (S.below[quad[0]] | S.above[quad[0]]) & ~sum(1 << q for q in quad)
+            if near:
+                quad[3] = rng.choice([k for k in range(S.n) if (near >> k) & 1])
+                comparable += 1
+        assert S.is_free(tuple(quad)) == (
+            not ni_predicate([S.pool[q] for q in quad])), quad
+    assert comparable > 500
+
+
 def test_coverage_tables_names_and_unions():
-    S = _F3Search(2)
+    S = _pool(2)
     names, member = _coverage_tables(S.pool)
     assert names[0] == "K"
     assert set(names) == {"K"} | {f"I^{g}" for g in "xyz"} \
@@ -111,6 +157,13 @@ def test_f3_vacuous_below_size_five():
     assert rep.data["free_tuples"] == 0
     assert rep.data["vacuous"] is True
     assert rep.data["uncovered"] == 0
+
+
+def test_f3_budget_stops_early():
+    rep = check_pi3_in_f3(5, budget_seconds=0.0)
+    assert rep.status == INCONCLUSIVE
+    assert rep.data["stopped"] == "during tuple search at term 0 of 121"
+    assert rep.data["tuples_surviving_pair_filters"] == 0
 
 
 def test_f3_size_five_counts():
@@ -265,11 +318,24 @@ def test_separate_equal_terms_rejected():
 
 
 def test_below_matrix_standalone():
-    pool = list(enumerate_terms(_G3, 2))
-    idx = {t: i for i, t in enumerate(pool)}
-    ops_idx = [tuple(idx[o] for o in t.ops) for t in pool]
-    below = _below_matrix(pool, idx, ops_idx)
+    # any pool that lists operands before their terms, here in the order
+    # a depth-first walk from random size-4 terms reaches them
+    rng = random.Random(SEED)
+    pool, seen = [], set()
+
+    def emit(t):
+        if t not in seen:
+            for o in t.ops:
+                emit(o)
+            seen.add(t)
+            pool.append(t)
+
+    for t in rng.sample(list(enumerate_terms(_G3, 4)), 20):
+        emit(t)
+    S = _F3Search(pool)
+    assert S.pool == pool
     for i in range(len(pool)):
-        assert (below[i] >> i) & 1
+        assert (S.below[i] >> i) & 1
         for k in range(len(pool)):
-            assert bool((below[i] >> k) & 1) == leq(pool[k], pool[i])
+            assert bool((S.below[i] >> k) & 1) == leq(pool[k], pool[i])
+            assert bool((S.above[i] >> k) & 1) == leq(pool[i], pool[k])
