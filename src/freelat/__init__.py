@@ -58,7 +58,6 @@ from .ideals import (
     filter_lemma_witness_check,
     ideal_member,
     join_member,
-    kappa_principal,
     meet_member,
     polar_down,
     polar_up,
@@ -72,7 +71,6 @@ from .terms import (
     GeneratorSet,
     ParseError,
     Term,
-    complexity,
     dual_term,
     enumerate_terms,
     evaluate,
@@ -95,7 +93,6 @@ from .verify import (
 from .whitman import (
     Interval,
     canonical_form,
-    ci_check,
     equal,
     fixed_point_search,
     generates_free,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .finlat import FiniteLattice, d_rank, join_irreducibles, minimal_join_covers
-from .terms import GEN, GeneratorSet, Term, dual_term, gen, join, meet
+from .terms import GeneratorSet, Term, dual_term, evaluate, gen, join, meet
 from .whitman import Interval, canonical_form, leq
 
 
@@ -25,7 +25,7 @@ class NotBoundedError(ValueError):
 
 
 class Hom:
-    __slots__ = ("gens", "target", "images", "_memo", "_sub", "_betas", "_dualh")
+    __slots__ = ("gens", "target", "images", "_sub", "_betas", "_dualh")
 
     def __init__(self, gens: GeneratorSet, target: FiniteLattice,
                  images: dict[str, int]):
@@ -41,7 +41,6 @@ class Hom:
         self.gens = gens
         self.target = target
         self.images = dict(images)
-        self._memo: dict[Term, int] = {}
         self._sub = None
         self._betas = None
         self._dualh = None
@@ -52,19 +51,7 @@ class Hom:
         return f"<Hom onto {self.target.name}: {ims}>"
 
     def eval(self, t: Term) -> int:
-        r = self._memo.get(t)
-        if r is None:
-            if t.kind == GEN:
-                if t.name not in self.images:
-                    raise ValueError(f"no image for generator {t.name!r}")
-                r = self.images[t.name]
-            else:
-                table = self.target.joins if t.kind == "join" else self.target.meets
-                r = self.eval(t.ops[0])
-                for o in t.ops[1:]:
-                    r = table[r][self.eval(o)]
-            self._memo[t] = r
-        return r
+        return evaluate(t, self.target, self.images)
 
     def image_sublattice(self) -> tuple[FiniteLattice, list[int], dict[int, int]]:
         """The sublattice generated by the images, its elements listed as

@@ -44,9 +44,6 @@ def pentagon() -> FiniteLattice:
                        ["0", "a", "b", "c", "1"])
 
 
-build_n5 = pentagon
-
-
 def m3() -> FiniteLattice:
     return from_covers("m3", 5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
                        ["0", "a", "b", "c", "1"])

@@ -46,13 +46,6 @@ class UsageError(Exception):
     pass
 
 
-def _gens(spec: str) -> GeneratorSet:
-    try:
-        return GeneratorSet.from_spec(spec)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
-
-
 def _term(src: str, G: GeneratorSet):
     try:
         return parse_term(src, G)
@@ -60,22 +53,8 @@ def _term(src: str, G: GeneratorSet):
         raise UsageError(f"cannot parse {src!r}: {e}") from e
 
 
-def _lattice(spec: str):
-    try:
-        return load_lattice(spec)
-    except FileNotFoundError as e:
-        raise UsageError(str(e)) from e
-
-
-def _order(spec: str):
-    try:
-        return load_order(spec)
-    except FileNotFoundError as e:
-        raise UsageError(str(e)) from e
-
-
 def _hom(lat_spec: str, map_spec: str) -> Hom:
-    L = _lattice(lat_spec)
+    L = load_lattice(lat_spec)
     images: dict[str, int] = {}
     for piece in map_spec.split(","):
         if "=" not in piece:
@@ -222,28 +201,28 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_lat(args) -> int:
     if args.latcmd == "check":
         try:
-            L = _lattice(args.lattice)
+            L = load_lattice(args.lattice)
         except (LatticeFileError, NotALatticeError) as e:
             print(f"not a lattice: {e}", file=sys.stderr)
             return 1
         print(f"lattice {L.name}: n={L.n} covers={len(L.covers())}")
         return 0
     if args.latcmd == "dot":
-        _write_out(to_dot(_order(args.lattice)), args.out)
+        _write_out(to_dot(load_order(args.lattice)), args.out)
         return 0
     if args.latcmd == "dm":
-        C, _ = dm_completion(_order(args.lattice))
+        C, _ = dm_completion(load_order(args.lattice))
         _write_out(dumps(C), args.out)
         return 0
     if args.latcmd == "double":
-        L = _lattice(args.lattice)
+        L = load_lattice(args.lattice)
         try:
             elems = [L.index_of(lbl) for lbl in args.elems.split(",")]
         except KeyError as e:
             raise UsageError(str(e.args[0])) from None
         _write_out(dumps(double(L, elems)), args.out)
         return 0
-    L = _lattice(args.lattice)
+    L = load_lattice(args.lattice)
     if args.latcmd == "drank":
         rho, rk = d_rank(L)
         rho_op, rk_op = d_rank_op(L)
@@ -326,7 +305,7 @@ def _cmd_verify(args) -> int:
     elif args.vercmd == "pi3-f4":
         rep = V.search_pi3_in_f4(args.max_size, args.budget)
     else:
-        G = _gens(args.gens)
+        G = GeneratorSet.from_spec(args.gens)
         s, t = _term(args.s, G), _term(args.t, G)
         if equal(s, t):
             raise UsageError("terms are equal; nothing separates them")
@@ -344,24 +323,24 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if e.code == 0 else 2
     try:
         if args.cmd in ("leq", "eq"):
-            G = _gens(args.gens)
+            G = GeneratorSet.from_spec(args.gens)
             s, t = _term(args.s, G), _term(args.t, G)
             return _bool_out(leq(s, t) if args.cmd == "leq" else equal(s, t))
         if args.cmd == "canon":
-            G = _gens(args.gens)
+            G = GeneratorSet.from_spec(args.gens)
             print(print_term(canonical_form(_term(args.term, G))))
             return 0
         if args.cmd == "ni":
-            G = _gens(args.gens)
+            G = GeneratorSet.from_spec(args.gens)
             terms = [_term(s, G) for s in args.terms]
             if len(terms) < 2:
                 raise UsageError("need at least two terms")
             return _bool_out(ni_predicate(terms))
         if args.cmd == "free4":
-            G = _gens(args.gens)
+            G = GeneratorSet.from_spec(args.gens)
             return _bool_out(generates_free([_term(s, G) for s in args.terms]))
         if args.cmd == "enum":
-            G = _gens(args.gens)
+            G = GeneratorSet.from_spec(args.gens)
             for t in enumerate_terms(G, args.max_size):
                 print(print_term(t))
             return 0
@@ -375,13 +354,7 @@ def run(argv: list[str] | None = None) -> int:
             rep = sd_meet_failure_report(args.budget)
             return _report_out(rep, args.format)
         return _cmd_verify(args)
-    except UsageError as e:
-        print(f"freelat: {e}", file=sys.stderr)
-        return 2
-    except (LatticeFileError, NotALatticeError, ParseError, ValueError) as e:
-        print(f"freelat: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (UsageError, ValueError, OSError) as e:
         print(f"freelat: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -219,7 +219,7 @@ def join_irreducibles(L: FiniteLattice) -> list[int]:
 
 
 def meet_irreducibles(L: FiniteLattice) -> list[int]:
-    return [i for i in range(L.n) if len(L.upper_covers(i)) == 1]
+    return join_irreducibles(L.dual())
 
 
 def is_join_prime(L: FiniteLattice, a: int) -> bool:
@@ -231,11 +231,7 @@ def is_join_prime(L: FiniteLattice, a: int) -> bool:
 
 
 def is_meet_prime(L: FiniteLattice, a: int) -> bool:
-    for b in range(L.n):
-        for c in range(b, L.n):
-            if L.leq(L.meets[b][c], a) and not (L.leq(b, a) or L.leq(c, a)):
-                return False
-    return True
+    return is_join_prime(L.dual(), a)
 
 
 def is_doubly_prime_elt(L: FiniteLattice, a: int) -> bool:
@@ -272,13 +268,7 @@ def check_sd_join(L: FiniteLattice) -> tuple[bool, tuple[int, int, int] | None]:
 
 
 def check_sd_meet(L: FiniteLattice) -> tuple[bool, tuple[int, int, int] | None]:
-    n, joins, meets = L.n, L.joins, L.meets
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if meets[a][b] == meets[a][c] != meets[a][joins[b][c]]:
-                    return False, (a, b, c)
-    return True, None
+    return check_sd_join(L.dual())
 
 
 def d_relation(L: FiniteLattice) -> list[int]:

@@ -39,6 +39,8 @@ class ChainIdeal:
     increasing as far as the budget reaches.
     """
 
+    _kind, _reversal = "ideal", "decreases"
+
     def __init__(self, name: str,
                  terms: Sequence[Term] | Callable[[int], Term],
                  budget: int):
@@ -51,10 +53,15 @@ class ChainIdeal:
         else:
             self._terms = list(terms)[:budget + 1]
             if not self._terms:
-                raise ValueError(f"ideal {name}: no chain terms")
+                raise ValueError(f"{self._kind} {name}: no chain terms")
         for k in range(len(self._terms) - 1):
-            if not leq(self._terms[k], self._terms[k + 1]):
-                raise ValueError(f"ideal {name}: chain decreases at index {k}")
+            if not self.holds(self._terms[k + 1], self._terms[k]):
+                raise ValueError(
+                    f"{self._kind} {name}: chain {self._reversal} at index {k}")
+
+    def holds(self, c: Term, w: Term) -> bool:
+        """Does w lie in the principal ideal of c?"""
+        return leq(w, c)
 
     def term_at(self, k: int) -> Term:
         return self._terms[min(k, len(self._terms) - 1)]
@@ -64,35 +71,17 @@ class ChainIdeal:
         return len(self._terms) - 1
 
     def __repr__(self) -> str:
-        return f"<ChainIdeal {self.name} depth={self.depth}>"
+        return f"<{type(self).__name__} {self.name} depth={self.depth}>"
 
 
-class ChainFilter:
+class ChainFilter(ChainIdeal):
     """Union of the principal filters of a decreasing term chain."""
 
-    def __init__(self, name: str,
-                 terms: Sequence[Term] | Callable[[int], Term],
-                 budget: int):
-        if budget < 0:
-            raise ValueError("budget must be >= 0")
-        self.name = name
-        self.budget = budget
-        if callable(terms):
-            self._terms = [terms(k) for k in range(budget + 1)]
-        else:
-            self._terms = list(terms)[:budget + 1]
-            if not self._terms:
-                raise ValueError(f"filter {name}: no chain terms")
-        for k in range(len(self._terms) - 1):
-            if not leq(self._terms[k + 1], self._terms[k]):
-                raise ValueError(f"filter {name}: chain increases at index {k}")
+    _kind, _reversal = "filter", "increases"
 
-    def term_at(self, k: int) -> Term:
-        return self._terms[min(k, len(self._terms) - 1)]
-
-    @property
-    def depth(self) -> int:
-        return len(self._terms) - 1
+    def holds(self, c: Term, w: Term) -> bool:
+        """Does w lie in the principal filter of c?"""
+        return leq(c, w)
 
 
 def principal_ideal(t: Term, budget: int = 0) -> ChainIdeal:
@@ -100,17 +89,15 @@ def principal_ideal(t: Term, budget: int = 0) -> ChainIdeal:
 
 
 def ideal_member(I: ChainIdeal, w: Term) -> MemberAnswer:
+    """Is w in the chain's union, with the first index that holds it?
+    A ChainFilter answers for its filter."""
     for k in range(I.depth + 1):
-        if leq(w, I.term_at(k)):
+        if I.holds(I.term_at(k), w):
             return MemberAnswer(YES, (k,))
     return MemberAnswer(NO_UP_TO, None)
 
 
-def filter_member(F: ChainFilter, w: Term) -> MemberAnswer:
-    for k in range(F.depth + 1):
-        if leq(F.term_at(k), w):
-            return MemberAnswer(YES, (k,))
-    return MemberAnswer(NO_UP_TO, None)
+filter_member = ideal_member
 
 
 def join_member(I: ChainIdeal, J: ChainIdeal, w: Term) -> MemberAnswer:
@@ -133,9 +120,6 @@ def meet_member(I: ChainIdeal, J: ChainIdeal, w: Term) -> MemberAnswer:
     if a and b:
         return MemberAnswer(YES, a.witness + b.witness)
     return MemberAnswer(NO_UP_TO, None)
-
-
-_G3 = GeneratorSet(("x", "y", "z"))
 
 
 def yz_chains(k: int) -> tuple[Term, Term]:
@@ -211,11 +195,6 @@ def polar_up(D: Sequence[Term], gens: GeneratorSet) -> Term:
 def polar_down(D: Sequence[Term], gens: GeneratorSet) -> Term:
     """Generator of the ideal of lower bounds of D, dually."""
     return canonical_form(meet(*D)) if D else canonical_form(gens.top())
-
-
-def kappa_principal(t: Term) -> Term:
-    """Least representation of the principal ideal of t."""
-    return canonical_form(t)
 
 
 def filter_lemma_witness_check(f: Term, g: Term,

@@ -87,7 +87,8 @@ def dumps(P: FinitePoset) -> str:
     kind = "lattice" if isinstance(P, FiniteLattice) else "poset"
     out = [f"{kind} {P.name}" if P.name else kind]
     for lbl in P.labels:
-        if not lbl or any(c.isspace() for c in lbl) or lbl == "#":
+        # parse_latfile cuts every line at "#"
+        if not lbl or any(c.isspace() for c in lbl) or "#" in lbl:
             raise LatticeFileError(f"label {lbl!r} cannot be written")
         out.append(f"elem {lbl}")
     for lo, hi in P.covers():

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 GEN = "gen"
 JOIN = "join"
@@ -232,10 +232,6 @@ def print_term(t: Term) -> str:
     return s
 
 
-def complexity(t: Term) -> tuple[int, int]:
-    return (t.size, t.adepth)
-
-
 def term_key(t: Term) -> tuple[int, int, str]:
     return (t.size, t.adepth, print_term(t))
 
@@ -270,10 +266,10 @@ def evaluate(t: Term, lattice, assignment: dict[str, int]) -> int:
                     raise ValueError(f"no image for generator {u.name!r}")
                 r = assignment[u.name]
             else:
-                op = lattice.join_of if u.kind == JOIN else lattice.meet_of
+                table = lattice.joins if u.kind == JOIN else lattice.meets
                 r = go(u.ops[0])
                 for o in u.ops[1:]:
-                    r = op(r, go(o))
+                    r = table[r][go(o)]
             memo[u] = r
         return r
 
@@ -298,16 +294,11 @@ def dual_term(t: Term) -> Term:
     return go(t)
 
 
-def enumerate_terms(gens: GeneratorSet, max_size: int,
-                    canon: Callable[[Term], Term] | None = None) -> Iterator[Term]:
+def enumerate_terms(gens: GeneratorSet, max_size: int) -> Iterator[Term]:
     """All canonical-form terms of size <= max_size, each exactly once,
-    ordered by (size, adepth, printed form).
-
-    The canonicalizer is injected to avoid a cyclic import; by default the
-    one from the whitman module is used.
-    """
-    if canon is None:
-        from .whitman import canonical_form as canon
+    ordered by (size, adepth, printed form)."""
+    # imported here because whitman imports this module
+    from .whitman import canonical_form as canon
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
     base = sorted(gens.terms(), key=term_key)

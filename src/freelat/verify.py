@@ -27,7 +27,7 @@ from .builders import (
     fd3_doubling_targets,
     pentagon_hom,
 )
-from .finlat import d_rank, d_rank_op
+from .finlat import _bits, d_rank, d_rank_op
 from .reporting import FAIL, INCONCLUSIVE, PASS, Report
 from .terms import (
     GEN,
@@ -169,14 +169,6 @@ def verify_figure3() -> Report:
     ok = ok and rk == 1
     rep.status = PASS if ok else FAIL
     return rep
-
-
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 class _F3Search:
@@ -398,9 +390,9 @@ def check_pi3_in_f3(max_size: int = 6,
     sit above or below it), and no member may sit under the join or over
     the meet of two others.  Survivors are confirmed free by the direct
     definition, so the pruning can only discard tuples that were never
-    free.  With a budget the clock is read once per first member; a
-    search cut short is inconclusive unless a free tuple it found is
-    uncovered."""
+    free.  With a budget the clock is read at each first member and
+    every 256 tuples checked; a search cut short is inconclusive unless
+    a free tuple it found is uncovered."""
     t0 = time.time()
     rep = Report("pi3-coverage-in-f3")
     rep.set("max_size", max_size)
@@ -419,25 +411,34 @@ def check_pi3_in_f3(max_size: int = 6,
     first: list[tuple[tuple[int, ...], str | None]] = []
     uncovered = []
     checked = free = 0
+
+    def out_of_time(i: int) -> bool:
+        if budget_seconds is None or time.time() - t0 <= budget_seconds:
+            return False
+        rep.set("stopped", f"during tuple search at term {i} of {n}")
+        return True
+
     stopped = False
     for i in range(n):
-        if budget_seconds is not None and time.time() - t0 > budget_seconds:
-            rep.set("stopped", f"during tuple search at term {i} of {n}")
-            stopped = True
+        if stopped := out_of_time(i):
             break
         for quad in S.quads_from(i, compat):
             checked += 1
-            if not S.is_free(quad):
-                continue
-            free += 1
-            hit = next((nm for nm, umask in unions
-                        if all(member[q] & umask for q in quad)), None)
-            if hit is None:
-                uncovered.append(quad)
-            else:
-                union_hist[hit] += 1
-            if free <= 200:
-                first.append((quad, hit))
+            if S.is_free(quad):
+                free += 1
+                hit = next((nm for nm, umask in unions
+                            if all(member[q] & umask for q in quad)), None)
+                if hit is None:
+                    uncovered.append(quad)
+                else:
+                    union_hist[hit] += 1
+                if free <= 200:
+                    first.append((quad, hit))
+            # one first member can carry ~300k tuples at size 7
+            if not checked % 256 and (stopped := out_of_time(i)):
+                break
+        if stopped:
+            break
     rep.set("tuples_surviving_pair_filters", checked)
     rep.set("free_tuples", free)
     logged = first if free <= 200 else [(q, None) for q in uncovered]

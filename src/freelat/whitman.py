@@ -19,7 +19,7 @@ the identical object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .terms import (
     GEN,
@@ -162,17 +162,20 @@ def in_interval(t: Term, iv: Interval) -> bool:
     return leq(iv.lo, t) and leq(t, iv.hi)
 
 
-def ci_check(terms: Iterable[Term], intervals: Sequence[Interval]) -> bool:
-    """Every term lies in at least one of the intervals."""
-    return all(any(in_interval(t, iv) for iv in intervals) for t in terms)
-
-
 def fixed_point_search(p: Term, var: str, gens: GeneratorSet,
                        max_size: int) -> Term | None:
     """First canonical term w with p[var := w] equal to w, in enumeration
-    order over terms of size <= max_size; None if there is none that small."""
+    order over terms of size <= max_size; None if there is none that small.
+
+    Kept on purpose, though nothing else in the package calls it: it is
+    the F_n side of the fixed-point contrast behind the
+    universal-existential sentence separating F_n from its completion
+    H_n = DM(F_n).  A complete lattice gives every monotone polynomial a
+    least fixed point (Tarski; finlat.tarski_lfp, acceptance check c10);
+    in F_n a fixed point has to be a term, and this looks for one up to a
+    size bound."""
     base = {n: gen(n) for n in gens.names}
-    for w in enumerate_terms(gens, max_size, canon=canonical_form):
+    for w in enumerate_terms(gens, max_size):
         amap = dict(base)
         amap[var] = w
         if equal(substitute(p, amap), w):

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from conftest import rand_term
 from freelat.bhom import (
     Hom,
     NotBoundedError,
@@ -14,7 +17,15 @@ from freelat.bhom import (
     is_upper_bounded,
     kernel_table,
 )
-from freelat.builders import build_fd3, chain, doubled_hom, m3, pentagon, pentagon_hom
+from freelat.builders import (
+    build_fd3,
+    catalog,
+    chain,
+    doubled_hom,
+    m3,
+    pentagon,
+    pentagon_hom,
+)
 from freelat.terms import GeneratorSet, parse_term, print_term
 from freelat.whitman import in_interval, leq
 
@@ -44,6 +55,36 @@ def test_eval_is_a_homomorphism():
     a = h.eval(t("xy+xz+yz"))
     b = h.eval(t("(x+y)(x+z)(y+z)"))
     assert N5.labels[a] == "b" and N5.labels[b] == "c"
+
+
+def memo_table_eval(h, t, memo):
+    """Oracle: the recursion over the target's join and meet tables that
+    Hom.eval ran before it called terms.evaluate, with one memo kept
+    across all the terms evaluated under a map."""
+    r = memo.get(t)
+    if r is None:
+        if t.kind == "gen":
+            r = h.images[t.name]
+        else:
+            table = h.target.joins if t.kind == "join" else h.target.meets
+            r = memo_table_eval(h, t.ops[0], memo)
+            for o in t.ops[1:]:
+                r = table[r][memo_table_eval(h, o, memo)]
+        memo[t] = r
+    return r
+
+
+def test_eval_matches_memoised_table_recursion_on_catalog_maps(rng):
+    terms = [rand_term(rng, G.names, rng.randrange(9)) for _ in range(40)]
+    count = 0
+    for L in catalog():
+        for images in itertools.product(range(L.n), repeat=3):
+            h = Hom(G, L, dict(zip(G.names, images)))
+            memo = {}
+            for u in terms:
+                assert h.eval(u) == memo_table_eval(h, u, memo)
+            count += 1
+    assert count == 789
 
 
 def test_image_sublattice():

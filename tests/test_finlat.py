@@ -32,6 +32,7 @@ from freelat.finlat import (
     find_isomorphism,
     from_covers,
     is_doubly_prime_elt,
+    is_meet_prime,
     join_irreducibles,
     meet_irreducibles,
     minimal_join_covers,
@@ -92,6 +93,31 @@ def brute_d_rank(L):
     return rho, max((rho[j] for j in jis), default=0)
 
 
+# Oracles for the meet-side checks, which run their join-side duals on
+# L.dual(): the loops over L's own meet table and upper covers.
+
+def hand_meet_irreducibles(L):
+    return [i for i in range(L.n) if len(L.upper_covers(i)) == 1]
+
+
+def hand_is_meet_prime(L, a):
+    for b in range(L.n):
+        for c in range(b, L.n):
+            if L.leq(L.meets[b][c], a) and not (L.leq(b, a) or L.leq(c, a)):
+                return False
+    return True
+
+
+def hand_check_sd_meet(L):
+    n, joins, meets = L.n, L.joins, L.meets
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if meets[a][b] == meets[a][c] != meets[a][joins[b][c]]:
+                    return False, (a, b, c)
+    return True, None
+
+
 def assert_matches_oracle(L):
     # the oracle's dual is built afresh, not taken from L's cache
     fresh_dual = FiniteLattice(L.down, L.labels, L.name + ".op")
@@ -101,6 +127,13 @@ def assert_matches_oracle(L):
         assert minimal_join_covers(L, a) == brute_minimal_join_covers(L, a)
         assert minimal_meet_covers(L, a) == \
             brute_minimal_join_covers(fresh_dual, a)
+
+
+def assert_meet_side_matches_oracle(L):
+    assert meet_irreducibles(L) == hand_meet_irreducibles(L)
+    assert check_sd_meet(L) == hand_check_sd_meet(L)   # witness too
+    for a in range(L.n):
+        assert is_meet_prime(L, a) == hand_is_meet_prime(L, a)
 
 
 def test_poset_validation():
@@ -225,6 +258,15 @@ def test_fast_covers_and_ranks_match_oracle_on_builtins():
         assert_matches_oracle(L.dual())
 
 
+def test_meet_side_checks_match_hand_written_loops():
+    lattices = extended_catalog() + [build_fd3(), build_a()]
+    for L in lattices + [L.dual() for L in lattices]:
+        assert_meet_side_matches_oracle(L)
+    # the loops find failures too, so the witnesses are compared
+    assert not hand_check_sd_meet(m3())[0]
+    assert not hand_is_meet_prime(m3(), m3().index_of("a"))
+
+
 def test_fast_covers_and_ranks_match_oracle_on_catalog_images():
     G = GeneratorSet(("x", "y", "z"))
     count = 0
@@ -251,6 +293,7 @@ def test_fast_covers_and_ranks_match_oracle_on_random_completions(P):
     # join irreducibles of a completion are images of P, so the scan stays small
     assert len(join_irreducibles(L)) <= P.n <= 20
     assert_matches_oracle(L)
+    assert_meet_side_matches_oracle(L)
 
 
 def test_caches_are_kept_on_the_lattice():

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import rand_term
 from freelat.ideals import (
     ChainFilter,
     ChainIdeal,
@@ -7,7 +8,6 @@ from freelat.ideals import (
     filter_member,
     ideal_member,
     join_member,
-    kappa_principal,
     meet_member,
     polar_down,
     polar_up,
@@ -16,7 +16,7 @@ from freelat.ideals import (
     yz_chains,
 )
 from freelat.reporting import PASS
-from freelat.terms import GeneratorSet, gen, parse_term, print_term
+from freelat.terms import GeneratorSet, dual_term, gen, parse_term, print_term
 from freelat.whitman import canonical_form, equal, leq
 
 G = GeneratorSet(("x", "y", "z"))
@@ -56,6 +56,26 @@ def test_members_and_witnesses():
     F = ChainFilter("F", [t("x+y"), t("x")], budget=1)
     assert filter_member(F, t("x+z")).witness == (1,)
     assert not filter_member(F, t("y"))
+
+
+def test_filter_member_is_ideal_member_of_the_dual_chain(rng):
+    # dualizing swaps the order, so the filter of a decreasing chain is
+    # the ideal of the dualized (increasing) chain, read on dual_term(w)
+    cases = [
+        (ChainFilter("F", lambda k: dual_term(yz_chains(k)[0]), budget=4),
+         ChainIdeal("I", lambda k: yz_chains(k)[0], budget=4)),
+        (ChainFilter("F", [t("x+y"), t("x")], budget=1),
+         ChainIdeal("I", [t("x*y"), t("x")], budget=1)),
+    ]
+    ws = [rand_term(rng, G.names, rng.randrange(6)) for _ in range(200)]
+    ws += [dual_term(yz_chains(k)[0]) for k in range(5)]
+    verdicts = set()
+    for F, I in cases:
+        for w in ws:
+            ans = filter_member(F, w)
+            assert ans == ideal_member(I, dual_term(w))
+            verdicts.add(ans.verdict)
+    assert verdicts == {"yes", "no-up-to-budget"}
 
 
 def test_join_and_meet_members():
@@ -116,7 +136,6 @@ def test_polars():
     assert polar_up([], G) is canonical_form(t("x*y*z"))
     assert polar_down([t("x+y")], G) is t("x+y")
     assert polar_down([], G) is canonical_form(t("x+y+z"))
-    assert kappa_principal(t("x*(x+y)")) is t("x")
 
 
 def test_filter_lemma_witness_check():

@@ -115,6 +115,17 @@ def test_dumps_rejects_unwritable_labels():
     P = poset_with_labels(["a b"])
     with pytest.raises(LatticeFileError, match="cannot be written"):
         dumps(P)
+    # the parser cuts every line at "#", so no label may hold one
+    for lbl in ("#", "a#b", "a#"):
+        with pytest.raises(LatticeFileError, match="cannot be written"):
+            dumps(poset_with_labels([lbl]))
+
+
+def test_round_trip_punctuated_labels():
+    labels = ["{}", "{a,b}", "x+yz", "b.0", "x*(y+z)", "a-b"]
+    P = poset_with_labels(labels)
+    Q = parse_latfile(dumps(P))
+    assert Q.labels == labels and Q.up == P.up
 
 
 def poset_with_labels(labels):

@@ -6,7 +6,6 @@ from freelat.builders import pentagon
 from freelat.terms import (
     GeneratorSet,
     ParseError,
-    complexity,
     dual_term,
     enumerate_terms,
     evaluate,
@@ -89,12 +88,16 @@ def test_generator_set_validation():
 
 
 def test_measures():
-    assert complexity(X) == (0, 0)
-    assert complexity(parse_term("x+y", G)) == (1, 1)
-    assert complexity(parse_term("(x+y)(x+z)", G)) == (3, 2)
+    def measures(src):
+        t = parse_term(src, G)
+        return t.size, t.adepth
+
+    assert (X.size, X.adepth) == (0, 0)
+    assert measures("x+y") == (1, 1)
+    assert measures("(x+y)(x+z)") == (3, 2)
     # alternation counts only kind switches, not raw depth
-    assert complexity(parse_term("x+(y+z)", G)) == (2, 1)
-    assert complexity(parse_term("x(y+z(x+y))", G)) == (4, 4)
+    assert measures("x+(y+z)") == (2, 1)
+    assert measures("x(y+z(x+y))") == (4, 4)
 
 
 def test_term_key_orders_by_size_then_alternation():
@@ -132,14 +135,14 @@ def test_dual_term():
 
 def test_enumerate_counts_and_canonicity():
     counts = {}
-    for t in enumerate_terms(G, 4, canon=canonical_form):
+    for t in enumerate_terms(G, 4):
         counts[t.size] = counts.get(t.size, 0) + 1
         assert canonical_form(t) is t
     assert counts == {0: 3, 1: 8, 2: 6, 3: 18, 4: 20}
 
 
 def test_enumerate_sorted_and_complete():
-    out = list(enumerate_terms(G, 2, canon=canonical_form))
+    out = list(enumerate_terms(G, 2))
     keys = [term_key(t) for t in out]
     assert keys == sorted(keys)
     # independent brute force: canonicalize every raw binary tree

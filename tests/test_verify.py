@@ -1,8 +1,10 @@
 import itertools
 import random
+import types
 
 import pytest
 
+from freelat import verify
 from freelat.reporting import INCONCLUSIVE, PASS
 from freelat.terms import enumerate_terms, gen, join, meet, parse_term, print_term
 from freelat.verify import (
@@ -164,6 +166,19 @@ def test_f3_budget_stops_early():
     assert rep.status == INCONCLUSIVE
     assert rep.data["stopped"] == "during tuple search at term 0 of 121"
     assert rep.data["tuples_surviving_pair_filters"] == 0
+
+
+def test_f3_budget_is_read_inside_a_first_member(monkeypatch):
+    # a fake clock that runs out right after the search reads it at the
+    # start of term 0, whose 827 surviving tuples would otherwise all be
+    # checked before the next read
+    reads = itertools.count()
+    fake = types.SimpleNamespace(time=lambda: 0.0 if next(reads) < 2 else 1e9)
+    monkeypatch.setattr(verify, "time", fake)
+    rep = check_pi3_in_f3(5, budget_seconds=5.0)
+    assert rep.status == INCONCLUSIVE
+    assert rep.data["stopped"] == "during tuple search at term 0 of 121"
+    assert rep.data["tuples_surviving_pair_filters"] == 256
 
 
 def test_f3_size_five_counts():

@@ -7,7 +7,6 @@ from freelat.terms import GeneratorSet, join, meet, parse_term, print_term
 from freelat.whitman import (
     Interval,
     canonical_form,
-    ci_check,
     equal,
     fixed_point_search,
     generates_free,
@@ -126,8 +125,6 @@ def test_intervals():
     assert in_interval(t("x+y*z*(x+z)"), iv)
     with pytest.raises(ValueError):
         Interval(t("x+y"), X)
-    assert ci_check([X], [Interval(X, X), iv])
-    assert not ci_check([Y], [iv])
 
 
 def test_is_doubly_prime():
