@@ -55,13 +55,9 @@ from .ideals import (
     ChainFilter,
     ChainIdeal,
     MemberAnswer,
-    filter_lemma_witness_check,
     ideal_member,
     join_member,
     meet_member,
-    polar_down,
-    polar_up,
-    principal_ideal,
     sd_meet_failure_report,
     yz_chains,
 )

@@ -3,12 +3,15 @@ lattice, and the interval structure of their kernels.
 
 A Hom is fixed by generator images.  When the image sublattice has
 finite join-cover rank, every element a of it has a least preimage
-beta(a), computed by the standard iteration: start from the meet of the
-generators sent above a, then repeatedly meet with joins of beta over
-the minimal join covers of a until the term stops changing.  alpha is
-the greatest preimage, obtained by running beta in the dual.  The kernel
-class of a is then the interval [beta(a), alpha(a)]; classes partition
-the free lattice when both sides exist.
+beta(a).  For a join irreducible q, beta(q) is the meet of the
+generators sent above q with the join of beta over each minimal join
+cover of q.  Every cover member lies in D(q) and so has a lower D-rank
+(Day 1979; Freese, Ježek and Nation, Free Lattices, ch. II), so one
+pass over the join irreducibles in rank order computes them all.  beta
+of any other element is the join of beta over the join irreducibles
+below it.  alpha is the greatest preimage, obtained by running beta in
+the dual.  The kernel class of a is then the interval [beta(a),
+alpha(a)]; classes partition the free lattice when both sides exist.
 """
 
 from __future__ import annotations
@@ -98,34 +101,23 @@ def is_upper_bounded(h: Hom) -> bool:
 
 
 def _beta_tables(h: Hom) -> dict[int, Term]:
-    if h._betas is not None:
-        return h._betas
-    S, to_target, _ = h.image_sublattice()
-    rho, rank = d_rank(S)
-    if rank is None:
-        raise NotBoundedError(f"hom onto {h.target.name} is not lower bounded")
-    jis = join_irreducibles(S)
-    covers = {q: minimal_join_covers(S, q) for q in jis}
-    b0: dict[int, Term] = {}
-    for q in jis:
-        above = [gen(n) for n in h.gens.names
-                 if h.target.leq(to_target[q], h.images[n])]
-        b0[q] = meet(*above) if above else h.gens.top()
-    cur = {q: canonical_form(b0[q]) for q in jis}
-    for _ in range(rank + 2):
-        nxt = {}
-        for q in jis:
-            parts = [b0[q]]
-            for C in covers[q]:
-                parts.append(join(*[cur[c] for c in C]))
-            nxt[q] = canonical_form(meet(*parts))
-        if all(nxt[q] is cur[q] for q in jis):
-            break
-        cur = nxt
-    else:
-        raise RuntimeError(f"beta iteration did not stabilize within {rank + 2} rounds")
-    h._betas = cur
-    return cur
+    """beta of each join irreducible of the image sublattice, filled in
+    one pass in D-rank order (see the module docstring)."""
+    if h._betas is None:
+        S, to_target, _ = h.image_sublattice()
+        rho, rank = d_rank(S)
+        if rank is None:
+            raise NotBoundedError(f"hom onto {h.target.name} is not lower bounded")
+        tab: dict[int, Term] = {}
+        for q in sorted(join_irreducibles(S), key=rho.__getitem__):
+            above = [gen(n) for n in h.gens.names
+                     if h.target.leq(to_target[q], h.images[n])]
+            parts = [meet(*above) if above else h.gens.top()]
+            for C in minimal_join_covers(S, q):
+                parts.append(join(*[tab[c] for c in C]))
+            tab[q] = canonical_form(meet(*parts))
+        h._betas = tab
+    return h._betas
 
 
 def beta(h: Hom, a: int) -> Term:

@@ -161,22 +161,10 @@ class FiniteLattice(FinitePoset):
                 return k
         return None
 
-    def join_of(self, i: int, j: int) -> int:
-        return self.joins[i][j]
-
-    def meet_of(self, i: int, j: int) -> int:
-        return self.meets[i][j]
-
     def join_all(self, elems: Iterable[int]) -> int:
         r = self.bottom
         for e in elems:
             r = self.joins[r][e]
-        return r
-
-    def meet_all(self, elems: Iterable[int]) -> int:
-        r = self.top
-        for e in elems:
-            r = self.meets[r][e]
         return r
 
 
@@ -232,10 +220,6 @@ def is_join_prime(L: FiniteLattice, a: int) -> bool:
 
 def is_meet_prime(L: FiniteLattice, a: int) -> bool:
     return is_join_prime(L.dual(), a)
-
-
-def is_doubly_prime_elt(L: FiniteLattice, a: int) -> bool:
-    return is_join_prime(L, a) and is_meet_prime(L, a)
 
 
 def check_W(L: FiniteLattice) -> tuple[bool, tuple[int, int, int, int] | None]:

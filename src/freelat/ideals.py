@@ -1,5 +1,4 @@
-"""Ideals of the free lattice presented by generator chains, and the
-polar operators on its subsets.
+"""Ideals and filters of the free lattice presented by generator chains.
 
 The ideal lattice of a free lattice is where semidistributivity breaks:
 with the chains y[k+1] = y + x*z[k] and z[k+1] = z + x*y[k], the ideals
@@ -16,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .reporting import FAIL, PASS, Report
-from .terms import GeneratorSet, Term, gen, join, meet, print_term
-from .whitman import canonical_form, leq
+from .terms import Term, gen, join, meet
+from .whitman import leq
 
 YES = "yes"
 NO_UP_TO = "no-up-to-budget"
@@ -82,10 +81,6 @@ class ChainFilter(ChainIdeal):
     def holds(self, c: Term, w: Term) -> bool:
         """Does w lie in the principal filter of c?"""
         return leq(c, w)
-
-
-def principal_ideal(t: Term, budget: int = 0) -> ChainIdeal:
-    return ChainIdeal(print_term(t), [t], budget)
 
 
 def ideal_member(I: ChainIdeal, w: Term) -> MemberAnswer:
@@ -183,55 +178,4 @@ def sd_meet_failure_report(budget: int = 4) -> Report:
     good = (ok and bool(in_x) and bool(in_yz)
             and esc_y.verdict == NO_UP_TO and esc_z.verdict == NO_UP_TO)
     rep.status = PASS if good else FAIL
-    return rep
-
-
-def polar_up(D: Sequence[Term], gens: GeneratorSet) -> Term:
-    """Generator of the filter of upper bounds of D: the join of D, or
-    the bottom of the free lattice when D is empty."""
-    return canonical_form(join(*D)) if D else canonical_form(gens.bottom())
-
-
-def polar_down(D: Sequence[Term], gens: GeneratorSet) -> Term:
-    """Generator of the ideal of lower bounds of D, dually."""
-    return canonical_form(meet(*D)) if D else canonical_form(gens.top())
-
-
-def filter_lemma_witness_check(f: Term, g: Term,
-                               samples: Sequence[Term]) -> Report:
-    """Witness-level check of the two polar laws for principal filters
-    F = up(f), G = up(g):
-
-      i.  lower(F) join lower(G) = lower(F intersect G): w is under f+g
-          exactly when some split f' <= f, g' <= g has w <= f'+g'.
-      ii. lower(F) intersect lower(G) = lower(F join G): w is under both
-          f and g exactly when w <= f*g.
-
-    The trivial split (f, g) is always tried, so direction i is exact;
-    extra splits come from sample pairs.
-    """
-    rep = Report("polar-laws-principal-filters")
-    rep.set("f", f)
-    rep.set("g", g)
-    rep.set("samples", len(samples))
-    fg_join = join(f, g)
-    fg_meet = meet(f, g)
-    splits = [(f, g)] + [(a, b) for a in samples for b in samples]
-    ok = True
-    for w in samples:
-        direct = leq(w, fg_join)
-        split_w = None
-        for fp, gp in splits:
-            if leq(fp, f) and leq(gp, g) and leq(w, join(fp, gp)):
-                split_w = (fp, gp)
-                break
-        law1 = (split_w is not None) == direct
-        both = leq(w, f) and leq(w, g)
-        law2 = both == leq(w, fg_meet)
-        rep.add_line(w=w, under_join=direct,
-                     split=("none" if split_w is None
-                            else f"{split_w[0]}|{split_w[1]}"),
-                     law_join=law1, law_meet=law2)
-        ok = ok and law1 and law2
-    rep.status = PASS if ok else FAIL
     return rep

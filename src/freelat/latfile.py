@@ -17,8 +17,9 @@ terms of labels::
     cover c 1
 
 The header word is either ``lattice`` or ``poset``; a poset skips the
-lattice-property check, which dm completions of raw orders need.  Labels
-carry no whitespace.  Blank lines and ``#`` comments are ignored.
+lattice-property check, which dm completions of raw orders need.  Names
+and labels carry no whitespace and no ``#``.  Blank lines and ``#``
+comments are ignored.
 """
 
 from __future__ import annotations
@@ -83,14 +84,17 @@ def load_latfile(path: str) -> FinitePoset | FiniteLattice:
         return parse_latfile(fh.read())
 
 
+def _check_word(what: str, word: str) -> str:
+    # parse_latfile splits lines at whitespace and cuts them at "#"
+    if not word or any(c.isspace() for c in word) or "#" in word:
+        raise LatticeFileError(f"{what} {word!r} cannot be written")
+    return word
+
+
 def dumps(P: FinitePoset) -> str:
     kind = "lattice" if isinstance(P, FiniteLattice) else "poset"
-    out = [f"{kind} {P.name}" if P.name else kind]
-    for lbl in P.labels:
-        # parse_latfile cuts every line at "#"
-        if not lbl or any(c.isspace() for c in lbl) or "#" in lbl:
-            raise LatticeFileError(f"label {lbl!r} cannot be written")
-        out.append(f"elem {lbl}")
+    out = [f"{kind} {_check_word('name', P.name)}" if P.name else kind]
+    out += [f"elem {_check_word('label', lbl)}" for lbl in P.labels]
     for lo, hi in P.covers():
         out.append(f"cover {P.labels[lo]} {P.labels[hi]}")
     return "\n".join(out) + "\n"

@@ -259,17 +259,16 @@ def evaluate(t: Term, lattice, assignment: dict[str, int]) -> int:
     memo: dict[Term, int] = {}
 
     def go(u: Term) -> int:
+        if u.kind == GEN:
+            if u.name not in assignment:
+                raise ValueError(f"no image for generator {u.name!r}")
+            return assignment[u.name]
         r = memo.get(u)
         if r is None:
-            if u.kind == GEN:
-                if u.name not in assignment:
-                    raise ValueError(f"no image for generator {u.name!r}")
-                r = assignment[u.name]
-            else:
-                table = lattice.joins if u.kind == JOIN else lattice.meets
-                r = go(u.ops[0])
-                for o in u.ops[1:]:
-                    r = table[r][go(o)]
+            table = lattice.joins if u.kind == JOIN else lattice.meets
+            r = go(u.ops[0])
+            for o in u.ops[1:]:
+                r = table[r][go(o)]
             memo[u] = r
         return r
 

@@ -118,11 +118,6 @@ def canonical_form(t: Term) -> Term:
     return r
 
 
-def is_doubly_prime(t: Term) -> bool:
-    """True iff t equals a generator."""
-    return canonical_form(t).kind == GEN
-
-
 def ni_predicate(terms: Sequence[Term]) -> bool:
     """Some term is below the join of the others, or above their meet."""
     ts = list(terms)

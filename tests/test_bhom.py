@@ -7,6 +7,7 @@ from freelat.bhom import (
     Hom,
     NotBoundedError,
     Tower,
+    _beta_tables,
     alpha,
     beta,
     class_of,
@@ -26,8 +27,9 @@ from freelat.builders import (
     pentagon,
     pentagon_hom,
 )
-from freelat.terms import GeneratorSet, parse_term, print_term
-from freelat.whitman import in_interval, leq
+from freelat.finlat import d_rank, join_irreducibles, minimal_join_covers
+from freelat.terms import GeneratorSet, gen, join, meet, parse_term, print_term
+from freelat.whitman import canonical_form, in_interval, leq
 
 G = GeneratorSet(("x", "y", "z"))
 
@@ -85,6 +87,58 @@ def test_eval_matches_memoised_table_recursion_on_catalog_maps(rng):
                 assert h.eval(u) == memo_table_eval(h, u, memo)
             count += 1
     assert count == 789
+
+
+def iterated_beta_tables(h):
+    """Oracle: the fixed-point iteration _beta_tables ran before it became
+    one pass in D-rank order.  Every join irreducible starts at the meet
+    of the generators sent above it and is met, round after round, with
+    the joins of the current tables over its minimal join covers."""
+    S, to_target, _ = h.image_sublattice()
+    rho, rank = d_rank(S)
+    if rank is None:
+        raise NotBoundedError(f"hom onto {h.target.name} is not lower bounded")
+    jis = join_irreducibles(S)
+    covers = {q: minimal_join_covers(S, q) for q in jis}
+    b0 = {}
+    for q in jis:
+        above = [gen(n) for n in h.gens.names
+                 if h.target.leq(to_target[q], h.images[n])]
+        b0[q] = meet(*above) if above else h.gens.top()
+    cur = {q: canonical_form(b0[q]) for q in jis}
+    for _ in range(rank + 2):
+        nxt = {}
+        for q in jis:
+            parts = [b0[q]]
+            for C in covers[q]:
+                parts.append(join(*[cur[c] for c in C]))
+            nxt[q] = canonical_form(meet(*parts))
+        if all(nxt[q] is cur[q] for q in jis):
+            return cur
+        cur = nxt
+    raise AssertionError(f"beta iteration did not stabilize within {rank + 2} rounds")
+
+
+def test_one_pass_beta_matches_iteration_on_every_catalog_map():
+    homs = [doubled_hom(), pentagon_hom()]
+    for L in catalog():
+        for images in itertools.product(range(L.n), repeat=3):
+            homs.append(Hom(G, L, dict(zip(G.names, images))))
+    bounded = unbounded = 0
+    for h in homs:
+        for side in (h, h.dual()):
+            try:
+                want = iterated_beta_tables(side)
+            except NotBoundedError:
+                with pytest.raises(NotBoundedError, match="lower bounded"):
+                    _beta_tables(side)
+                unbounded += 1
+                continue
+            got = _beta_tables(side)
+            assert got.keys() == want.keys()
+            assert all(got[q] is want[q] for q in want)
+            bounded += 1
+    assert (bounded, unbounded) == (1570, 12)
 
 
 def test_image_sublattice():

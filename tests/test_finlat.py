@@ -31,7 +31,7 @@ from freelat.finlat import (
     double,
     find_isomorphism,
     from_covers,
-    is_doubly_prime_elt,
+    is_join_prime,
     is_meet_prime,
     join_irreducibles,
     meet_irreducibles,
@@ -162,12 +162,11 @@ def test_not_a_lattice():
 def test_pentagon_tables():
     N5 = pentagon()
     a, b, c = (N5.index_of(l) for l in "abc")
-    assert N5.join_of(a, b) == N5.top
-    assert N5.meet_of(a, c) == N5.bottom
-    assert N5.join_of(b, a) == N5.top
-    assert N5.meet_of(b, c) == b
+    assert N5.joins[a][b] == N5.top
+    assert N5.meets[a][c] == N5.bottom
+    assert N5.joins[b][a] == N5.top
+    assert N5.meets[b][c] == b
     assert N5.join_all([]) == N5.bottom
-    assert N5.meet_all([]) == N5.top
     assert N5.leq(b, c) and not N5.leq(c, b)
 
 
@@ -199,9 +198,11 @@ def test_irreducibles():
     assert mi == {"x", "y", "z", "x+y", "x+z", "y+z"}
     N5 = pentagon()
     assert {N5.labels[i] for i in join_irreducibles(N5)} == {"a", "b", "c"}
-    assert is_doubly_prime_elt(N5, N5.index_of("a"))
+    a = N5.index_of("a")
+    assert is_join_prime(N5, a) and is_meet_prime(N5, a)
     M = m3()
-    assert not is_doubly_prime_elt(M, M.index_of("a"))
+    a = M.index_of("a")
+    assert not (is_join_prime(M, a) and is_meet_prime(M, a))
 
 
 def test_minimal_covers():

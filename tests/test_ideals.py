@@ -4,14 +4,10 @@ from conftest import rand_term
 from freelat.ideals import (
     ChainFilter,
     ChainIdeal,
-    filter_lemma_witness_check,
     filter_member,
     ideal_member,
     join_member,
     meet_member,
-    polar_down,
-    polar_up,
-    principal_ideal,
     sd_meet_failure_report,
     yz_chains,
 )
@@ -79,8 +75,8 @@ def test_filter_member_is_ideal_member_of_the_dual_chain(rng):
 
 
 def test_join_and_meet_members():
-    X = principal_ideal(t("x"), budget=2)
-    Y = principal_ideal(t("y"), budget=2)
+    X = ChainIdeal("x", [t("x")], budget=2)
+    Y = ChainIdeal("y", [t("y")], budget=2)
     ans = join_member(X, Y, t("x+y"))
     assert ans and ans.witness == (0, 0)
     assert not join_member(X, Y, t("z"))
@@ -129,25 +125,3 @@ def test_sd_meet_failure_report_records_are_stable():
     r1 = sd_meet_failure_report(budget=2).records()
     r2 = sd_meet_failure_report(budget=2).records()
     assert r1 == r2
-
-
-def test_polars():
-    assert polar_up([t("x"), t("y")], G) is t("x+y")
-    assert polar_up([], G) is canonical_form(t("x*y*z"))
-    assert polar_down([t("x+y")], G) is t("x+y")
-    assert polar_down([], G) is canonical_form(t("x+y+z"))
-
-
-def test_filter_lemma_witness_check():
-    rep = filter_lemma_witness_check(
-        t("x"), t("y"), [t("x*y"), t("x"), t("x+y"), t("z"), t("x*y*z")])
-    assert rep.status == PASS
-    for ln in rep.lines:
-        assert ln["law_join"] is True and ln["law_meet"] is True
-
-
-def test_filter_lemma_splits():
-    rep = filter_lemma_witness_check(t("x*(y+z)"), t("y"), [t("x*y")])
-    assert rep.status == PASS
-    (ln,) = rep.lines
-    assert ln["under_join"] is True

@@ -1,7 +1,13 @@
 import pytest
 
-from freelat.builders import builtin_lattice, catalog
-from freelat.finlat import FiniteLattice, FinitePoset, find_isomorphism
+from freelat.builders import build_a, build_fd3, builtin_lattice, extended_catalog
+from freelat.finlat import (
+    FiniteLattice,
+    FinitePoset,
+    find_isomorphism,
+    from_covers,
+    poset_from_covers,
+)
 from freelat.latfile import (
     LatticeFileError,
     dump,
@@ -14,7 +20,7 @@ from freelat.latfile import (
 
 
 def test_round_trip_all_builtins():
-    for L in catalog():
+    for L in extended_catalog() + [build_fd3(), build_a()]:
         M = parse_latfile(dumps(L))
         assert isinstance(M, FiniteLattice)
         assert M.name == L.name
@@ -48,7 +54,7 @@ def test_parse_pentagon_by_hand():
     L = parse_latfile(text)
     assert isinstance(L, FiniteLattice)
     assert L.n == 5
-    assert L.join_of(L.index_of("a"), L.index_of("b")) == L.index_of("1")
+    assert L.joins[L.index_of("a")][L.index_of("b")] == L.index_of("1")
 
 
 def test_poset_header_skips_lattice_check():
@@ -121,6 +127,15 @@ def test_dumps_rejects_unwritable_labels():
             dumps(poset_with_labels([lbl]))
 
 
+def test_dumps_rejects_unwritable_names():
+    # the header is split at whitespace and cut at "#" like any other line
+    for name in ("my lat", "a\tb", "#", "a#b"):
+        with pytest.raises(LatticeFileError, match="name .* cannot be written"):
+            dumps(from_covers(name, 2, [(0, 1)]))
+        with pytest.raises(LatticeFileError, match="name .* cannot be written"):
+            dumps(poset_from_covers(name, 1, []))
+
+
 def test_round_trip_punctuated_labels():
     labels = ["{}", "{a,b}", "x+yz", "b.0", "x*(y+z)", "a-b"]
     P = poset_with_labels(labels)
@@ -129,5 +144,4 @@ def test_round_trip_punctuated_labels():
 
 
 def poset_with_labels(labels):
-    from freelat.finlat import poset_from_covers
     return poset_from_covers("p", len(labels), [], labels)

@@ -11,7 +11,6 @@ from freelat.whitman import (
     fixed_point_search,
     generates_free,
     in_interval,
-    is_doubly_prime,
     leq,
     ni_predicate,
 )
@@ -125,12 +124,6 @@ def test_intervals():
     assert in_interval(t("x+y*z*(x+z)"), iv)
     with pytest.raises(ValueError):
         Interval(t("x+y"), X)
-
-
-def test_is_doubly_prime():
-    assert is_doubly_prime(X)
-    assert not is_doubly_prime(t("x+y"))
-    assert not is_doubly_prime(t("x*y"))
 
 
 def test_fixed_point_search():
