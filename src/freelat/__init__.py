@@ -2,22 +2,16 @@
 lattice tooling, bounded homomorphisms, and ideal-lattice checks."""
 
 from .bhom import (
-    ClassEntry,
-    ClassTable,
-    Classification,
-    CoherentSequence,
     Hom,
     NotBoundedError,
     Tower,
     alpha,
     beta,
-    class_of,
-    classify_element,
-    coherent_sequence,
-    compare_coherent,
+    compare_stages,
     is_lower_bounded,
     is_upper_bounded,
     kernel_table,
+    stage_classes,
 )
 from .builders import (
     build_a,
@@ -87,12 +81,10 @@ from .verify import (
     verify_figure3,
 )
 from .whitman import (
-    Interval,
     canonical_form,
     equal,
     fixed_point_search,
     generates_free,
-    in_interval,
     leq,
     ni_predicate,
 )

@@ -16,11 +16,11 @@ alpha(a)]; classes partition the free lattice when both sides exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .finlat import FiniteLattice, d_rank, join_irreducibles, minimal_join_covers
 from .terms import GeneratorSet, Term, dual_term, evaluate, gen, join, meet
-from .whitman import Interval, canonical_form, leq
+from .whitman import canonical_form, leq
 
 
 class NotBoundedError(ValueError):
@@ -143,54 +143,25 @@ def alpha(h: Hom, a: int) -> Term:
     return canonical_form(dual_term(bd))
 
 
-def class_of(h: Hom, t: Term) -> Interval:
-    """The kernel class of t: all terms with the same image."""
-    a = h.eval(t)
-    return Interval(beta(h, a), alpha(h, a))
-
-
-@dataclass(frozen=True)
-class ClassEntry:
-    element: int
-    label: str
-    lo: Term
-    hi: Term
-
-
-@dataclass
-class ClassTable:
-    hom: Hom
-    entries: list[ClassEntry]
-
-    def entry_for(self, a: int) -> ClassEntry:
-        for e in self.entries:
-            if e.element == a:
-                return e
-        raise KeyError(f"element {a} has no kernel class entry")
-
-    def class_of_term(self, t: Term) -> ClassEntry:
-        return self.entry_for(self.hom.eval(t))
-
-
-def kernel_table(h: Hom) -> ClassTable:
-    """One interval per image-sublattice element.  Sanity of the adjoints
-    is asserted: endpoints map back to their element and distinct classes
-    do not overlap."""
-    S, to_target, _ = h.image_sublattice()
-    entries = []
-    for s in range(S.n):
-        a = to_target[s]
+def kernel_table(h: Hom) -> dict[int, tuple[Term, Term]]:
+    """The kernel class (beta(a), alpha(a)) of each image-sublattice
+    element a, keyed by target index in sublattice order.  Sanity of the
+    adjoints is asserted: endpoints map back to their element and
+    distinct classes do not overlap."""
+    table = {}
+    for a in h.image_sublattice()[1]:
         lo = beta(h, a)
         hi = alpha(h, a)
         assert leq(lo, hi)
         assert h.eval(lo) == a == h.eval(hi)
-        entries.append(ClassEntry(a, h.target.labels[a], lo, hi))
-    for i, e in enumerate(entries):
-        for e2 in entries[i + 1:]:
+        table[a] = lo, hi
+    classes = list(table.items())
+    for i, (a, (lo, hi)) in enumerate(classes):
+        for a2, (lo2, hi2) in classes[i + 1:]:
             # intervals meet iff each low end sits under the other's high end
-            assert not (leq(e.lo, e2.hi) and leq(e2.lo, e.hi)), \
-                f"classes of {e.label} and {e2.label} overlap"
-    return ClassTable(h, entries)
+            assert not (leq(lo, hi2) and leq(lo2, hi)), \
+                f"classes of {h.target.labels[a]} and {h.target.labels[a2]} overlap"
+    return table
 
 
 @dataclass
@@ -210,41 +181,21 @@ class Tower:
                 raise NotBoundedError(f"stage {j} ({h.target.name}) is not upper bounded")
 
 
-@dataclass
-class CoherentSequence:
-    term: Term
-    lows: list[Term]
-    highs: list[Term]
-    rising: list[bool]
-    falling: list[bool]
-    brackets: list[bool]
-    chain_ok: bool
-    tower: Tower = field(repr=False, compare=False)
-
-
-def coherent_sequence(tower: Tower, t: Term) -> CoherentSequence:
-    """Per-stage kernel-class endpoints of t, with the chain checks:
-    lows may only rise, highs may only fall, and every stage brackets t."""
-    lows, highs = [], []
+def stage_classes(tower: Tower, t: Term) -> list[tuple[Term, Term]]:
+    """The kernel class (beta, alpha) of t at each stage."""
+    out = []
     for h in tower.stages:
         a = h.eval(t)
-        lows.append(beta(h, a))
-        highs.append(alpha(h, a))
-    rising = [leq(lows[j], lows[j + 1]) for j in range(len(lows) - 1)]
-    falling = [leq(highs[j + 1], highs[j]) for j in range(len(highs) - 1)]
-    brackets = [leq(lows[j], t) and leq(t, highs[j]) for j in range(len(lows))]
-    ok = all(rising) and all(falling) and all(brackets)
-    return CoherentSequence(t, lows, highs, rising, falling, brackets, ok, tower)
+        out.append((beta(h, a), alpha(h, a)))
+    return out
 
 
-def compare_coherent(c1: CoherentSequence, c2: CoherentSequence) -> str:
-    """Stage-wise comparison of two elements through the same tower:
+def compare_stages(tower: Tower, s: Term, t: Term) -> str:
+    """Stage-wise comparison of two terms' images through the tower:
     'equal', 'leq', 'geq', or 'incomparable'."""
-    if c1.tower is not c2.tower:
-        raise ValueError("sequences come from different towers")
     below = above = True
-    for h in c1.tower.stages:
-        x, y = h.eval(c1.term), h.eval(c2.term)
+    for h in tower.stages:
+        x, y = h.eval(s), h.eval(t)
         below = below and h.target.leq(x, y)
         above = above and h.target.leq(y, x)
     if below and above:
@@ -254,21 +205,3 @@ def compare_coherent(c1: CoherentSequence, c2: CoherentSequence) -> str:
     if above:
         return "geq"
     return "incomparable"
-
-
-@dataclass
-class Classification:
-    sequence: CoherentSequence
-    stable: bool
-    note: str
-
-
-def classify_element(tower: Tower, t: Term) -> Classification:
-    """Is the class of t already stable within this tower?  Stable means
-    the last two stages agree on both endpoints."""
-    if len(tower.stages) < 2:
-        raise ValueError("need at least two stages to judge stability")
-    seq = coherent_sequence(tower, t)
-    stable = seq.lows[-1] is seq.lows[-2] and seq.highs[-1] is seq.highs[-2]
-    note = "stable within tower" if stable else "still refining at the last stage"
-    return Classification(seq, stable, note)

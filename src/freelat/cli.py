@@ -19,10 +19,9 @@ from .bhom import (
     Tower,
     alpha,
     beta,
-    classify_element,
-    coherent_sequence,
-    compare_coherent,
+    compare_stages,
     kernel_table,
+    stage_classes,
 )
 from .finlat import (
     NotALatticeError,
@@ -86,8 +85,6 @@ def _report_out(rep: Report, fmt: str) -> int:
             print(rec)
     else:
         print(rep.text())
-    if rep.elapsed:
-        print(f"# finished in {rep.elapsed:.2f}s", file=sys.stderr)
     return 0 if rep.status == PASS else 1
 
 
@@ -248,8 +245,8 @@ def _cmd_lat(args) -> int:
 def _cmd_hom(args) -> int:
     h = _hom(args.lat, args.map_spec)
     if args.homcmd == "classes":
-        for e in kernel_table(h).entries:
-            print(f"elem {e.label} lo={print_term(e.lo)} hi={print_term(e.hi)}")
+        for a, (lo, hi) in kernel_table(h).items():
+            print(f"elem {h.target.labels[a]} lo={print_term(lo)} hi={print_term(hi)}")
         return 0
     try:
         a = h.target.index_of(args.element)
@@ -281,14 +278,18 @@ def _cmd_tower(args) -> int:
     tw = _tower(args.stage)
     G = tw.stages[0].gens
     if args.towercmd == "classify":
-        c = classify_element(tw, _term(args.term, G))
-        for j, (lo, hi) in enumerate(zip(c.sequence.lows, c.sequence.highs)):
+        t = _term(args.term, G)
+        if len(tw.stages) < 2:
+            raise UsageError("need at least two stages to judge stability")
+        classes = stage_classes(tw, t)
+        for j, (lo, hi) in enumerate(classes):
             print(f"stage {j} lo={print_term(lo)} hi={print_term(hi)}")
-        print(f"stable {'true' if c.stable else 'false'} note={c.note}")
-        return 0 if c.stable else 1
-    s = coherent_sequence(tw, _term(args.s, G))
-    t = coherent_sequence(tw, _term(args.t, G))
-    print(compare_coherent(s, t))
+        # stable: the last two stages agree on both endpoints
+        stable = classes[-1] == classes[-2]
+        note = "stable within tower" if stable else "still refining at the last stage"
+        print(f"stable {'true' if stable else 'false'} note={note}")
+        return 0 if stable else 1
+    print(compare_stages(tw, _term(args.s, G), _term(args.t, G)))
     return 0
 
 
@@ -306,13 +307,10 @@ def _cmd_verify(args) -> int:
         rep = V.search_pi3_in_f4(args.max_size, args.budget)
     else:
         G = GeneratorSet.from_spec(args.gens)
-        s, t = _term(args.s, G), _term(args.t, G)
-        if equal(s, t):
-            raise UsageError("terms are equal; nothing separates them")
-        rep = V.separate_terms(s, t)
-    if not rep.elapsed:
-        rep.elapsed = time.time() - t0
-    return _report_out(rep, args.format)
+        rep = V.separate_terms(_term(args.s, G), _term(args.t, G))
+    code = _report_out(rep, args.format)
+    print(f"# finished in {time.time() - t0:.2f}s", file=sys.stderr)
+    return code
 
 
 def run(argv: list[str] | None = None) -> int:

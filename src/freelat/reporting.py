@@ -4,8 +4,7 @@ A Report carries a claim, a status ("pass", "fail", or
 "inconclusive-budget" when a bounded search ran out of room), a flat
 data dict, and optional per-item lines.  records() renders all of it as
 stable key=value lines with no spaces inside values, so reruns diff
-clean; wall-clock time is deliberately kept out of that rendering and
-only surfaces through the elapsed field.
+clean; wall-clock time is deliberately kept out of reports.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ class Report:
     data: dict[str, object] = field(default_factory=dict)
     lines: list[dict[str, object]] = field(default_factory=list)
     subs: list["Report"] = field(default_factory=list)
-    elapsed: float = 0.0
 
     def set(self, key: str, value: object) -> None:
         self.data[key] = value

@@ -29,7 +29,7 @@ _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 
 class Term:
-    __slots__ = ("kind", "name", "ops", "size", "adepth", "extj", "extm", "_printed")
+    __slots__ = ("kind", "name", "ops", "size", "adepth", "_printed")
 
     kind: str
     name: str | None
@@ -57,18 +57,10 @@ def _make(kind: str, name: str | None, ops: tuple[Term, ...]) -> Term:
     if kind == GEN:
         t.size = 0
         t.adepth = 0
-        t.extj = 0
-        t.extm = 0
-    elif kind == JOIN:
-        t.size = 1 + sum(o.size for o in ops)
-        t.extj = max(o.extj for o in ops)
-        t.adepth = 1 + t.extj
-        t.extm = t.adepth
     else:
         t.size = 1 + sum(o.size for o in ops)
-        t.extm = max(o.extm for o in ops)
-        t.adepth = 1 + t.extm
-        t.extj = t.adepth
+        # a same-kind operand continues this node's run: no new alternation
+        t.adepth = 1 + max(o.adepth - (o.kind == kind) for o in ops)
     t._printed = None
     _INTERN[key] = t
     return t

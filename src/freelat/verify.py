@@ -37,19 +37,11 @@ from .terms import (
     Term,
     enumerate_terms,
     gen,
-    join,
-    meet,
     parse_term,
     print_term,
     substitute,
 )
-from .whitman import (
-    Interval,
-    canonical_form,
-    equal,
-    in_interval,
-    leq,
-)
+from .whitman import canonical_form, equal, leq
 
 _G3 = GeneratorSet(("x", "y", "z"))
 
@@ -111,29 +103,30 @@ def verify_figure2() -> Report:
     rep = Report("kernel-classes-of-doubled-map")
     h = doubled_hom()
     kt = kernel_table(h)
-    rep.set("classes", len(kt.entries))
+    rep.set("classes", len(kt))
     expected = set()
     for perm in itertools.permutations("xyz"):
         sub = {g: gen(p) for g, p in zip("xyz", perm)}
         for lo_s, hi_s in _A_CLASS_SHAPES:
             expected.add((_canon_str(lo_s, sub), _canon_str(hi_s, sub)))
     rep.set("expected_classes", len(expected))
-    got = {}
-    for e in kt.entries:
-        got[(print_term(e.lo), print_term(e.hi))] = e.label
-        rep.add_line(element=e.label, lo=e.lo, hi=e.hi,
-                     expected=(print_term(e.lo), print_term(e.hi)) in expected)
-    matched = set(got) == expected
+    got = set()
+    for a, (lo, hi) in kt.items():
+        shape = (print_term(lo), print_term(hi))
+        got.add(shape)
+        rep.add_line(element=h.target.labels[a], lo=lo, hi=hi,
+                     expected=shape in expected)
+    matched = got == expected
     rep.set("matched", matched)
-    m_entry = kt.class_of_term(parse_term("xy+xz+yz", _G3))
-    rep.set("middle_class_lo", m_entry.lo)
-    rep.set("middle_class_hi", m_entry.hi)
-    x_entry = kt.class_of_term(gen("x"))
-    rep.set("x_class", (print_term(x_entry.lo), print_term(x_entry.hi)))
-    ok = (matched and len(kt.entries) == 24
-          and print_term(m_entry.lo) == _canon_str("xy+xz+yz")
-          and print_term(m_entry.hi) == _canon_str("(x+y)(x+z)(y+z)")
-          and x_entry.lo is gen("x") and x_entry.hi is gen("x"))
+    m_lo, m_hi = kt[h.eval(parse_term("xy+xz+yz", _G3))]
+    rep.set("middle_class_lo", m_lo)
+    rep.set("middle_class_hi", m_hi)
+    x_lo, x_hi = kt[h.eval(gen("x"))]
+    rep.set("x_class", (print_term(x_lo), print_term(x_hi)))
+    ok = (matched and len(kt) == 24
+          and print_term(m_lo) == _canon_str("xy+xz+yz")
+          and print_term(m_hi) == _canon_str("(x+y)(x+z)(y+z)")
+          and x_lo is gen("x") and x_hi is gen("x"))
     rep.status = PASS if ok else FAIL
     return rep
 
@@ -154,13 +147,13 @@ def verify_figure3() -> Report:
     h = pentagon_hom()
     N5 = h.target
     kt = kernel_table(h)
-    rep.set("classes", len(kt.entries))
-    ok = len(kt.entries) == 5
+    rep.set("classes", len(kt))
+    ok = len(kt) == 5
     for lbl, lo_s, hi_s in _N5_CLASSES:
-        e = kt.entry_for(N5.index_of(lbl))
+        lo, hi = kt[N5.index_of(lbl)]
         want = (_canon_str(lo_s), _canon_str(hi_s))
-        got = (print_term(e.lo), print_term(e.hi))
-        rep.add_line(element=lbl, lo=e.lo, hi=e.hi, matched=got == want)
+        got = (print_term(lo), print_term(hi))
+        rep.add_line(element=lbl, lo=lo, hi=hi, matched=got == want)
         ok = ok and got == want
     _, rk = d_rank(N5)
     _, rko = d_rank_op(N5)
@@ -340,28 +333,21 @@ class _F3Search:
 
 def _coverage_tables(pool: list[Term]) -> tuple[list[str], list[int]]:
     """Per-term membership bits in the ten intervals the sentence uses:
-    I, J, singleton per generator, and K."""
-    m = canonical_form(parse_term("xy+xz+yz", _G3))
-    M = canonical_form(parse_term("(x+y)(x+z)(y+z)", _G3))
-    ivs: list[tuple[str, Interval]] = [("K", Interval(m, M))]
+    K, and I^g, J_g and the singleton G_g per generator.
+
+    Each interval is a whole kernel class [beta(a), alpha(a)] of the
+    doubled map onto A (verify_figure2 checks all 24), and classes
+    partition F3, so a term lies in the interval iff the map sends it to
+    a, the image of the interval's low end."""
+    h = doubled_hom()
+    lows = {"K": "xy+xz+yz"}
     for g in "xyz":
         o1, o2 = [o for o in "xyz" if o != g]
-        ivs.append((f"I^{g}", Interval(
-            canonical_form(parse_term(f"{g}+{o1}{o2}", _G3)),
-            canonical_form(join(gen(g), M)))))
-        ivs.append((f"J_{g}", Interval(
-            canonical_form(meet(gen(g), m)),
-            canonical_form(parse_term(f"{g}({o1}+{o2})", _G3)))))
-        ivs.append((f"G_{g}", Interval(gen(g), gen(g))))
-    names = [nm for nm, _ in ivs]
-    masks = []
-    for t in pool:
-        bits = 0
-        for p, (_, iv) in enumerate(ivs):
-            if in_interval(t, iv):
-                bits |= 1 << p
-        masks.append(bits)
-    return names, masks
+        lows[f"I^{g}"] = f"{g}+{o1}{o2}"
+        lows[f"J_{g}"] = f"{g}(xy+xz+yz)"
+        lows[f"G_{g}"] = g
+    bit = {h.eval(parse_term(lo, _G3)): 1 << p for p, lo in enumerate(lows.values())}
+    return list(lows), [bit.get(h.eval(t), 0) for t in pool]
 
 
 def _union_checks(names: list[str]) -> list[tuple[str, int]]:
@@ -450,7 +436,6 @@ def check_pi3_in_f3(max_size: int = 6,
     rep.set("uncovered", len(uncovered))
     rep.set("vacuous", not free)
     rep.status = FAIL if uncovered else INCONCLUSIVE if stopped else PASS
-    rep.elapsed = time.time() - t0
     return rep
 
 
@@ -525,7 +510,6 @@ def search_pi3_in_f4(max_size: int = 4,
             rep.set("terms_seen", nterms)
             rep.status = INCONCLUSIVE
             rep.set("stopped", "during term enumeration")
-            rep.elapsed = time.time() - t0
             return rep
     rep.set("terms", nterms)
     rep.set("mask_classes", len(classes))
@@ -562,7 +546,6 @@ def search_pi3_in_f4(max_size: int = 4,
     rep.add_sub(case2)
     if rep.status == PASS and (hits1 or hits2):
         rep.status = FAIL
-    rep.elapsed = time.time() - t0
     return rep
 
 

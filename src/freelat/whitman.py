@@ -18,7 +18,6 @@ the identical object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .terms import (
@@ -32,7 +31,6 @@ from .terms import (
     gen,
     join,
     meet,
-    print_term,
     substitute,
     term_key,
 )
@@ -136,25 +134,6 @@ def generates_free(terms: Sequence[Term]) -> bool:
     if len(ts) != 4:
         raise ValueError(f"need exactly four terms, got {len(ts)}")
     return not ni_predicate(ts)
-
-
-@dataclass(frozen=True)
-class Interval:
-    lo: Term
-    hi: Term
-
-    def __post_init__(self) -> None:
-        if not leq(self.lo, self.hi):
-            raise ValueError(
-                f"empty interval: {print_term(self.lo)} is not below {print_term(self.hi)}"
-            )
-
-    def __repr__(self) -> str:
-        return f"Interval({print_term(self.lo)!r}, {print_term(self.hi)!r})"
-
-
-def in_interval(t: Term, iv: Interval) -> bool:
-    return leq(iv.lo, t) and leq(t, iv.hi)
 
 
 def fixed_point_search(p: Term, var: str, gens: GeneratorSet,

@@ -10,13 +10,11 @@ from freelat.bhom import (
     _beta_tables,
     alpha,
     beta,
-    class_of,
-    classify_element,
-    coherent_sequence,
-    compare_coherent,
+    compare_stages,
     is_lower_bounded,
     is_upper_bounded,
     kernel_table,
+    stage_classes,
 )
 from freelat.builders import (
     build_fd3,
@@ -29,7 +27,7 @@ from freelat.builders import (
 )
 from freelat.finlat import d_rank, join_irreducibles, minimal_join_covers
 from freelat.terms import GeneratorSet, gen, join, meet, parse_term, print_term
-from freelat.whitman import canonical_form, in_interval, leq
+from freelat.whitman import canonical_form, leq
 
 G = GeneratorSet(("x", "y", "z"))
 
@@ -206,34 +204,38 @@ def test_beta_rejects_non_image_elements():
 
 
 def test_class_of():
+    # the class of a term is the kernel-table entry of its image
     h = pentagon_hom()
-    iv = class_of(h, t("x*y"))
-    assert print_term(iv.lo) == "x*y"
-    assert print_term(iv.hi) == "y+z*(x+y)"
-    assert in_interval(t("y"), iv)
+    lo, hi = kernel_table(h)[h.eval(t("x*y"))]
+    assert print_term(lo) == "x*y"
+    assert print_term(hi) == "y+z*(x+y)"
+    assert leq(lo, t("y")) and leq(t("y"), hi)
 
 
 def test_kernel_table_pentagon():
     h = pentagon_hom()
     kt = kernel_table(h)
-    assert len(kt.entries) == 5
-    for e in kt.entries:
-        assert h.eval(e.lo) == e.element == h.eval(e.hi)
-        assert leq(e.lo, e.hi)
+    assert list(kt) == h.image_sublattice()[1]
+    assert len(kt) == 5
+    for a, (lo, hi) in kt.items():
+        assert h.eval(lo) == a == h.eval(hi)
+        assert (lo, hi) == (beta(h, a), alpha(h, a))
+        assert leq(lo, hi)
     # classes are pairwise disjoint as intervals
-    for e in kt.entries:
-        for f in kt.entries:
-            if e is not f:
-                assert not (leq(e.lo, f.hi) and leq(f.lo, e.hi))
+    for a, (lo, hi) in kt.items():
+        for b, (lo2, hi2) in kt.items():
+            if a != b:
+                assert not (leq(lo, hi2) and leq(lo2, hi))
 
 
 def test_kernel_table_doubled_has_24_classes():
-    kt = kernel_table(doubled_hom())
-    assert len(kt.entries) == 24
-    e = kt.class_of_term(t("xy+xz+yz"))
-    assert print_term(e.lo) == "x*y+x*z+y*z"
-    assert print_term(e.hi) == "(x+y)*(x+z)*(y+z)"
-    assert e is kt.class_of_term(t("(x+y)(x+z)(y+z)"))
+    h = doubled_hom()
+    kt = kernel_table(h)
+    assert len(kt) == 24
+    lo, hi = kt[h.eval(t("xy+xz+yz"))]
+    assert print_term(lo) == "x*y+x*z+y*z"
+    assert print_term(hi) == "(x+y)*(x+z)*(y+z)"
+    assert h.eval(t("(x+y)(x+z)(y+z)")) == h.eval(t("xy+xz+yz"))
 
 
 def test_tower_validation():
@@ -256,38 +258,39 @@ def fd3_hom():
     return Hom(G, F, {n: F.index_of(n) for n in G.names})
 
 
-def test_coherent_sequence_chain():
+def test_stage_classes_chain():
+    # through a tower the classes of a term form a chain: lows rise,
+    # highs fall, and every stage brackets the term
     tw = Tower([fd3_hom(), doubled_hom()])
-    for s in ("x", "x*y+x*z", "xy+xz+yz", "x+y", "z*(x+y)"):
-        c = coherent_sequence(tw, t(s))
-        assert c.chain_ok
-        assert all(c.brackets)
-    c = coherent_sequence(tw, t("x*y+x*z"))
-    assert print_term(c.highs[0]) == "x*(y+z)"
-    assert print_term(c.highs[1]) == "x*y+x*z"
+    for s in ("x", "x*y+x*z", "xy+xz+yz", "x+y", "z*(x+y)", "x*(y+z)"):
+        u = t(s)
+        classes = stage_classes(tw, u)
+        assert len(classes) == 2
+        (lo0, hi0), (lo1, hi1) = classes
+        assert leq(lo0, lo1) and leq(hi1, hi0), s
+        assert all(leq(lo, u) and leq(u, hi) for lo, hi in classes), s
+    (_, hi0), (_, hi1) = stage_classes(tw, t("x*y+x*z"))
+    assert print_term(hi0) == "x*(y+z)"
+    assert print_term(hi1) == "x*y+x*z"
 
 
-def test_compare_coherent():
+def test_compare_stages():
     tw = Tower([fd3_hom(), doubled_hom()])
-    cm = coherent_sequence(tw, t("xy+xz+yz"))
-    cM = coherent_sequence(tw, t("(x+y)(x+z)(y+z)"))
-    assert compare_coherent(cm, cM) == "equal"
-    cx = coherent_sequence(tw, t("x"))
-    ctop = coherent_sequence(tw, t("x+y+z"))
-    assert compare_coherent(cx, ctop) == "leq"
-    assert compare_coherent(ctop, cx) == "geq"
-    cy = coherent_sequence(tw, t("y"))
-    assert compare_coherent(cx, cy) == "incomparable"
-    other = Tower([fd3_hom()])
-    with pytest.raises(ValueError, match="different towers"):
-        compare_coherent(cx, coherent_sequence(other, t("x")))
+    assert compare_stages(tw, t("xy+xz+yz"), t("(x+y)(x+z)(y+z)")) == "equal"
+    assert compare_stages(tw, t("x"), t("x+y+z")) == "leq"
+    assert compare_stages(tw, t("x+y+z"), t("x")) == "geq"
+    assert compare_stages(tw, t("x"), t("y")) == "incomparable"
+    # fd3 alone cannot tell x(y+z) from xy+xz; the doubled stage can
+    s, u = t("x*(y+z)"), t("x*y+x*z")
+    assert compare_stages(Tower([fd3_hom()]), s, u) == "equal"
+    assert compare_stages(tw, s, u) == "geq"
 
 
 def test_classify_element():
+    # an element is stable within a tower when its last two stages agree
+    # on both endpoints
     tw = Tower([fd3_hom(), doubled_hom()])
-    c = classify_element(tw, t("x"))
-    assert c.stable and "stable" in c.note
-    c = classify_element(tw, t("x*y+x*z"))
-    assert not c.stable and "refining" in c.note
-    with pytest.raises(ValueError, match="two stages"):
-        classify_element(Tower([fd3_hom()]), t("x"))
+    classes = stage_classes(tw, t("x"))
+    assert classes[-1] == classes[-2] == (t("x"), t("x"))
+    classes = stage_classes(tw, t("x*y+x*z"))
+    assert classes[-1] != classes[-2]

@@ -104,6 +104,20 @@ def test_lat_dot_and_dm(tmp_path, capsys):
     assert text.count("elem ") == 4
 
 
+def test_lat_dm_refuses_completions_over_4096(tmp_path, capsys):
+    # the crown a_i < b_j (i != j) on 13 + 13 points completes to the
+    # Boolean lattice 2^13, 8,192 elements
+    k = 13
+    crown = poset_from_covers("crown26", 2 * k, [(i, k + j) for i in range(k)
+                                                 for j in range(k) if i != j])
+    path = tmp_path / "crown26.lat"
+    path.write_text(dumps(crown))
+    assert run(["lat", "dm", str(path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "freelat: crown26: completion exceeds 4096 elements\n"
+
+
 def test_lat_double(capsys):
     assert run(["lat", "double", "builtin:n5", "b"]) == 0
     out = capsys.readouterr().out
@@ -212,6 +226,8 @@ def test_tower_classify_and_compare(capsys):
 def test_tower_bad_stage(capsys):
     assert run(["tower", "classify", "--stage", "nostage", "x"]) == 2
     assert "bad stage" in capsys.readouterr().err
+    assert run(["tower", "classify", "--stage", "builtin:fd3:x=x,y=y,z=z", "x"]) == 2
+    assert "need at least two stages" in capsys.readouterr().err
 
 
 def test_idealdm_sd_fail(capsys):

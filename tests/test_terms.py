@@ -87,7 +87,7 @@ def test_generator_set_validation():
     assert "x" in G and "w" not in G
 
 
-def test_measures():
+def test_measures(rng):
     def measures(src):
         t = parse_term(src, G)
         return t.size, t.adepth
@@ -98,6 +98,25 @@ def test_measures():
     # alternation counts only kind switches, not raw depth
     assert measures("x+(y+z)") == (2, 1)
     assert measures("x(y+z(x+y))") == (4, 4)
+
+    def runs(u):
+        # the most kind changes on a root-to-leaf path, counted path by path
+        if u.kind == "gen":
+            return [[]]
+        return [[u.kind] + p for o in u.ops for p in runs(o)]
+
+    def alternations(u):
+        return max(sum(1 for i, k in enumerate(p) if i == 0 or k != p[i - 1])
+                   for p in runs(u))
+
+    # raw, uncanonicalised terms with same-kind operands nested inside
+    for src in ("x+(y+z*(x+y))", "x*(y*(z+x*(y*z)))", "(x+(y+z))*((x+y)+z)",
+                "x+(y+(z+(x*y+(y+z))))", "x*(y+(z+x*(y*(z+x))))"):
+        u = parse_term(src, G)
+        assert u.adepth == alternations(u), src
+    for _ in range(500):
+        u = rand_term(rng, G.names, rng.randrange(1, 10))
+        assert u.adepth == alternations(u), print_term(u)
 
 
 def test_term_key_orders_by_size_then_alternation():

@@ -5,6 +5,8 @@ import types
 import pytest
 
 from freelat import verify
+from freelat.bhom import kernel_table
+from freelat.builders import doubled_hom
 from freelat.reporting import INCONCLUSIVE, PASS
 from freelat.terms import enumerate_terms, gen, join, meet, parse_term, print_term
 from freelat.verify import (
@@ -22,13 +24,54 @@ from freelat.verify import (
     verify_figure2,
     verify_figure3,
 )
-from freelat.whitman import Interval, canonical_form, in_interval, leq, ni_predicate
+from freelat.whitman import canonical_form, leq, ni_predicate
 
 SEED = 12345
 
 
 def _pool(max_size):
     return _F3Search(enumerate_terms(_G3, max_size))
+
+
+def _inside(t, lo, hi):
+    return leq(lo, t) and leq(t, hi)
+
+
+def _c(src):
+    return canonical_form(parse_term(src, _G3))
+
+
+def _coverage_intervals():
+    """The ten intervals of the pi3-f3 unions, endpoints written out by
+    hand as in the sentence: K = [m, M], and per generator g with others
+    o1, o2: I^g = [g+o1o2, g+M], J_g = [gm, g(o1+o2)], G_g = [g, g]."""
+    ivs = {"K": (_c("xy+xz+yz"), _c("(x+y)(x+z)(y+z)"))}
+    for g in "xyz":
+        o1, o2 = [o for o in "xyz" if o != g]
+        ivs[f"I^{g}"] = (_c(f"{g}+{o1}{o2}"), _c(f"{g}+(x+y)(x+z)(y+z)"))
+        ivs[f"J_{g}"] = (_c(f"{g}(xy+xz+yz)"), _c(f"{g}({o1}+{o2})"))
+        ivs[f"G_{g}"] = (gen(g), gen(g))
+    return ivs
+
+
+@pytest.mark.parametrize("max_size", [5, 6])
+def test_coverage_tables_match_interval_oracle(max_size):
+    # the old membership test, two leq calls per interval and term
+    pool = list(enumerate_terms(_G3, max_size))
+    names, member = _coverage_tables(pool)
+    ivs = _coverage_intervals()
+    assert sorted(names) == sorted(ivs)
+    for t, bits in zip(pool, member):
+        want = sum(1 << p for p, nm in enumerate(names) if _inside(t, *ivs[nm]))
+        assert bits == want, print_term(t)
+    assert sum(b != 0 for b in member) > len(ivs)
+
+
+def test_coverage_intervals_are_doubled_map_classes():
+    h = doubled_hom()
+    kt = kernel_table(h)
+    for nm, (lo, hi) in _coverage_intervals().items():
+        assert kt[h.eval(lo)] == (lo, hi), nm
 
 
 def test_figure1_report():
@@ -139,8 +182,8 @@ def test_coverage_tables_names_and_unions():
     assert set(names) == {"K"} | {f"I^{g}" for g in "xyz"} \
         | {f"J_{g}" for g in "xyz"} | {f"G_{g}" for g in "xyz"}
     assert len(member) == S.n
-    # spot checks against in_interval semantics: a bare generator sits in
-    # its singleton interval and nothing else
+    # spot checks: a bare generator sits in its singleton interval and
+    # nothing else
     x = gen("x")
     px = S.pool.index(x)
     assert member[px] == 1 << names.index("G_x")
@@ -217,21 +260,20 @@ def _term_triple_verdict(z):
         return False, set(), set()
     mz = canonical_form(join(join(meet(z1, z2), meet(z1, z3)), meet(z2, z3)))
     Mz = canonical_form(meet(meet(join(z1, z2), join(z1, z3)), join(z2, z3)))
-    K = Interval(mz, Mz)
+    K = (mz, Mz)
     case1 = set()
     for i, j in itertools.permutations(range(3), 2):
         l = 3 - i - j
-        I = Interval(canonical_form(join(z[i], meet(z[j], z[l]))),
-                     canonical_form(join(z[i], Mz)))
-        J = Interval(canonical_form(meet(z[j], mz)),
-                     canonical_form(meet(z[j], join(z[i], z[l]))))
-        if all(in_interval(g, I) or in_interval(g, J) or in_interval(g, K)
+        I = (canonical_form(join(z[i], meet(z[j], z[l]))),
+             canonical_form(join(z[i], Mz)))
+        J = (canonical_form(meet(z[j], mz)),
+             canonical_form(meet(z[j], join(z[i], z[l]))))
+        if all(_inside(g, *I) or _inside(g, *J) or _inside(g, *K)
                for g in g4):
             case1.add((i, j))
     case2 = set()
     for i in range(3):
-        Gi = Interval(z[i], z[i])
-        if all(in_interval(g, Gi) or in_interval(g, K) for g in g4):
+        if all(_inside(g, z[i], z[i]) or _inside(g, *K) for g in g4):
             case2.add(i)
     return True, case1, case2
 

@@ -5,12 +5,10 @@ import pytest
 from conftest import perturb, rand_term
 from freelat.terms import GeneratorSet, join, meet, parse_term, print_term
 from freelat.whitman import (
-    Interval,
     canonical_form,
     equal,
     fixed_point_search,
     generates_free,
-    in_interval,
     leq,
     ni_predicate,
 )
@@ -118,12 +116,15 @@ def test_generates_free():
 
 
 def test_intervals():
-    iv = Interval(t("x+y*z"), join(X, t("(x+y)(x+z)(y+z)")))
-    assert in_interval(t("x+y*z"), iv)
-    assert not in_interval(X, iv)          # x is strictly below the low end
-    assert in_interval(t("x+y*z*(x+z)"), iv)
-    with pytest.raises(ValueError):
-        Interval(t("x+y"), X)
+    def inside(s, lo, hi):
+        return leq(lo, s) and leq(s, hi)
+
+    iv = (t("x+y*z"), join(X, t("(x+y)(x+z)(y+z)")))
+    assert leq(*iv)
+    assert inside(t("x+y*z"), *iv)
+    assert not inside(X, *iv)          # x is strictly below the low end
+    assert inside(t("x+y*z*(x+z)"), *iv)
+    assert not leq(t("x+y"), X)        # an empty interval
 
 
 def test_fixed_point_search():
