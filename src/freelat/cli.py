@@ -245,7 +245,12 @@ def _cmd_lat(args) -> int:
 def _cmd_hom(args) -> int:
     h = _hom(args.lat, args.map_spec)
     if args.homcmd == "classes":
-        for a, (lo, hi) in kernel_table(h).items():
+        try:
+            table = kernel_table(h)
+        except NotBoundedError as e:
+            print(str(e), file=sys.stderr)
+            return 1
+        for a, (lo, hi) in table.items():
             print(f"elem {h.target.labels[a]} lo={print_term(lo)} hi={print_term(hi)}")
         return 0
     try:

@@ -287,9 +287,18 @@ def dual_term(t: Term) -> Term:
 
 def enumerate_terms(gens: GeneratorSet, max_size: int) -> Iterator[Term]:
     """All canonical-form terms of size <= max_size, each exactly once,
-    ordered by (size, adepth, printed form)."""
+    ordered by (size, adepth, printed form).
+
+    Canonicity is decided on the operands, by Whitman's canonical-form
+    theorem (Freese, Ježek and Nation, Free Lattices, Thm 1.18).  The
+    candidates are joins of distinct, key-sorted canonical gens and
+    meets, and dually; such a join is canonical iff its operands form an
+    antichain and no meetand of an operand lies below the whole join.
+    _size_combos skips comparable picks as it goes, whitman.promotable
+    checks the second condition against the operand tuple, and only the
+    kept terms are built."""
     # imported here because whitman imports this module
-    from .whitman import canonical_form as canon
+    from .whitman import leq, promotable
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
     base = sorted(gens.terms(), key=term_key)
@@ -300,10 +309,9 @@ def enumerate_terms(gens: GeneratorSet, max_size: int) -> Iterator[Term]:
     for s in range(1, max_size + 1):
         fresh: list[Term] = []
         for kind, pool in ((JOIN, meet_pool), (MEET, join_pool)):
-            for ops in _size_combos(pool, s - 1):
-                t = _make(kind, None, ops)
-                if canon(t) is t:
-                    fresh.append(t)
+            for ops in _size_combos(pool, s - 1, leq):
+                if not promotable(kind, ops):
+                    fresh.append(_make(kind, None, ops))
         fresh.sort(key=term_key)
         yield from fresh
         for t in fresh:
@@ -312,8 +320,9 @@ def enumerate_terms(gens: GeneratorSet, max_size: int) -> Iterator[Term]:
         meet_pool.sort(key=term_key)
 
 
-def _size_combos(pool: list[Term], budget: int) -> Iterator[tuple[Term, ...]]:
-    # strictly increasing picks from a key-sorted pool, sizes summing to budget
+def _size_combos(pool: list[Term], budget: int, leq) -> Iterator[tuple[Term, ...]]:
+    # strictly increasing picks from a key-sorted pool, sizes summing to
+    # budget, no pick comparable under leq to one already chosen
     out: list[Term] = []
 
     def rec(start: int, left: int) -> Iterator[tuple[Term, ...]]:
@@ -321,6 +330,8 @@ def _size_combos(pool: list[Term], budget: int) -> Iterator[tuple[Term, ...]]:
             t = pool[i]
             if t.size > left:
                 break  # pool is size-sorted
+            if any(leq(o, t) or leq(t, o) for o in out):
+                continue
             out.append(t)
             rest = left - t.size
             if rest == 0 and len(out) >= 2:

@@ -16,7 +16,7 @@ import itertools
 import operator
 import time
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .bhom import Hom, kernel_table
 from .builders import (
@@ -41,7 +41,7 @@ from .terms import (
     print_term,
     substitute,
 )
-from .whitman import canonical_form, equal, leq
+from .whitman import canonical_form, equal
 
 _G3 = GeneratorSet(("x", "y", "z"))
 
@@ -442,10 +442,17 @@ def check_pi3_in_f3(max_size: int = 6,
 _G4 = GeneratorSet(("x1", "x2", "x3", "x4"))
 
 
-def _mask_key(t: Term, gens4: tuple[Term, ...]) -> tuple[int, int]:
-    dn = sum(1 << k for k, g in enumerate(gens4) if leq(g, t))
-    up = sum(1 << k for k, g in enumerate(gens4) if leq(t, g))
-    return dn, up
+def _mask_keys(terms: Iterable[Term]) -> Iterator[tuple[Term, tuple[int, int]]]:
+    """Each 4-generator term with its key (D, U), the generators below and
+    above it, built from the keys of its operands, which must come first."""
+    mask = {g: (1 << k, 1 << k) for k, g in enumerate(_G4.terms())}
+    for t in terms:
+        if t.kind != GEN:
+            dn, up = zip(*(mask[o] for o in t.ops))
+            dop, uop = ((operator.or_, operator.and_) if t.kind == JOIN
+                        else (operator.and_, operator.or_))
+            mask[t] = (functools.reduce(dop, dn), functools.reduce(uop, up))
+        yield t, mask[t]
 
 
 def _triple_verdict(keys: tuple[tuple[int, int], ...]) -> tuple[bool, str | None, str | None]:
@@ -493,17 +500,21 @@ def search_pi3_in_f4(max_size: int = 4,
     verdict is a function of the masks (see _triple_verdict), every
     mask class in the scan is realized by a term in the pool, and every
     pool triple falls in a scanned class, so the class scan and the full
-    scan return identical verdicts."""
+    scan return identical verdicts.
+
+    A term's mask key (D, U), the generators below and above it, is built
+    from its operands' keys, which enumeration yields first.  Generators
+    of a free lattice are join- and meet-prime (Whitman), so generator k
+    has key (1<<k, 1<<k), a join (OR of D, AND of U) and a meet (AND of
+    D, OR of U)."""
     t0 = time.time()
     rep = Report("pi3-search-in-f4")
     rep.set("max_size", max_size)
-    gens4 = _G4.terms()
     classes: dict[tuple[int, int], int] = {}
     reps: dict[tuple[int, int], Term] = {}
     nterms = 0
-    for t in enumerate_terms(_G4, max_size):
+    for t, key in _mask_keys(enumerate_terms(_G4, max_size)):
         nterms += 1
-        key = _mask_key(t, gens4)
         classes[key] = classes.get(key, 0) + 1
         reps.setdefault(key, t)
         if budget_seconds is not None and time.time() - t0 > budget_seconds:

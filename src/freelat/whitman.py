@@ -14,6 +14,14 @@ operands absorbed by the rest dropped, and a meetand u of a joinand with
 u below the whole join promoted in its place (dually inside meets).  Two
 terms denote the same free-lattice element iff their canonical forms are
 the identical object.
+
+promotable is the half of the canonical-form test (Whitman; Freese,
+Ježek and Nation, Free Lattices, Thm 1.18) that enumerate_terms cannot
+check pair by pair: given operands that are canonical, key-sorted,
+distinct and none of the node's own kind, the node is canonical iff
+they form an antichain and no operand's operand lies below the whole
+join (dually, above the whole meet).  It runs Whitman's recursion
+against the operand tuple, so the candidate node is never built.
 """
 
 from __future__ import annotations
@@ -114,6 +122,23 @@ def canonical_form(t: Term) -> Term:
     if r is not t:
         _CANON[r] = r
     return r
+
+
+def _under(u: Term, kind: str, ops: tuple[Term, ...]) -> bool:
+    # u <= join(*ops) for kind JOIN, meet(*ops) <= u for kind MEET
+    if u.kind == kind:
+        return all(_under(o, kind, ops) for o in u.ops)
+    if any(leq(u, o) if kind == JOIN else leq(o, u) for o in ops):
+        return True
+    # (W) for a meet below a join, dually
+    return u.kind != GEN and any(_under(o, kind, ops) for o in u.ops)
+
+
+def promotable(kind: str, ops: tuple[Term, ...]) -> bool:
+    """Some operand of an operand of kind(*ops) lies below the whole join
+    (above the whole meet), so canonical_form would promote it.  The ops
+    are gens and terms of the other kind."""
+    return any(_under(u, kind, ops) for o in ops if o.kind != GEN for u in o.ops)
 
 
 def ni_predicate(terms: Sequence[Term]) -> bool:

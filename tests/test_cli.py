@@ -189,6 +189,16 @@ def test_hom_beta_unbounded_exits_1(capsys):
     assert "lower" in capsys.readouterr().err
 
 
+def test_hom_classes_unbounded_exits_like_beta(capsys):
+    m3 = ["--lat", "builtin:m3", "--map", "x=a,y=b,z=c"]
+    assert run(["hom", "beta"] + m3 + ["a"]) == 1
+    beta_err = capsys.readouterr().err
+    assert run(["hom", "classes"] + m3) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == beta_err == "hom onto m3 is not lower bounded\n"
+
+
 def test_hom_beta_outside_image_exits_1(capsys):
     assert run(["hom", "beta", "--lat", "builtin:n5",
                 "--map", "x=a,y=a,z=a", "0"]) == 1

@@ -3,9 +3,6 @@ must print exactly what perfbench/expected/ holds and exit as expected.
 
 This makes records identity part of the plain test run, so a refactor
 that changes a report shows up here first.  The files are only read.
-`verify pi3-f4 --max-size 5` (f4-triples.out) is left out: it takes about
-six seconds, acceptance check c07 runs the same search at size 4, and the
-benchmark runs it at size 5.
 """
 
 from pathlib import Path
@@ -25,6 +22,8 @@ COMMANDS = [
       "--stage", "builtin:A:x=x,y=y,z=z", "x*(y+z)"], 1, "tower-classify.out"),
     (["verify", "pi3-f3", "--max-size", "5", "--format", "records"], 0,
      "f3-coverage.out"),
+    (["verify", "pi3-f4", "--max-size", "5", "--format", "records"], 0,
+     "f4-triples.out"),
 ]
 
 

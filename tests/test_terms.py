@@ -1,9 +1,15 @@
 
+import itertools
+
 import pytest
 
 from conftest import rand_term
+from freelat import terms, whitman
 from freelat.builders import pentagon
 from freelat.terms import (
+    GEN,
+    JOIN,
+    MEET,
     GeneratorSet,
     ParseError,
     dual_term,
@@ -15,9 +21,10 @@ from freelat.terms import (
     parse_term,
     print_term,
     substitute,
+    _size_combos,
     term_key,
 )
-from freelat.whitman import canonical_form
+from freelat.whitman import canonical_form, leq, promotable
 
 G = GeneratorSet(("x", "y", "z"))
 X, Y, Z = G.terms()
@@ -183,3 +190,77 @@ def test_enumerate_two_generators():
     G2 = GeneratorSet(("x", "y"))
     out = [print_term(t) for t in enumerate_terms(G2, 1)]
     assert out == ["x", "y", "x*y", "x+y"]
+
+
+def _filtered_enumeration(gens, max_size):
+    """Build-and-canonicalise oracle for enumerate_terms: every
+    _size_combos candidate is built, comparable picks included, and kept
+    iff canonical_form(t) is t.  Returns the kept terms in order and
+    (kind, ops, kept) for every candidate."""
+    base = sorted(gens.terms(), key=term_key)
+    kept, candidates = list(base), []
+    pools = {JOIN: list(base), MEET: list(base)}   # operands of each kind
+    for s in range(1, max_size + 1):
+        fresh = []
+        for kind in (JOIN, MEET):
+            for ops in _size_combos(pools[kind], s - 1, lambda a, b: False):
+                t = join(*ops) if kind == JOIN else meet(*ops)
+                ok = canonical_form(t) is t
+                candidates.append((kind, ops, ok))
+                if ok:
+                    fresh.append(t)
+        fresh.sort(key=term_key)
+        kept += fresh
+        for t in fresh:
+            pools[MEET if t.kind == JOIN else JOIN].append(t)
+        for pool in pools.values():
+            pool.sort(key=term_key)
+    return kept, candidates
+
+
+@pytest.mark.parametrize("names,max_size,count", [
+    ("x,y,z", 6, 247), ("x1,x2,x3,x4", 4, 1640), ("x,y", 8, 4)])
+def test_enumeration_matches_canonical_form_filter(names, max_size, count):
+    gens = GeneratorSet.from_spec(names)
+    out = list(enumerate_terms(gens, max_size))
+    assert len(out) == count
+    assert out == _filtered_enumeration(gens, max_size)[0]
+
+
+def test_operand_test_agrees_with_canonical_form_on_every_candidate():
+    _, candidates = _filtered_enumeration(G, 5)
+    why = {"kept": 0, "comparable": 0, "promotable": 0}
+    for kind, ops, ok in candidates:
+        antichain = not any(leq(a, b) or leq(b, a)
+                            for a, b in itertools.combinations(ops, 2))
+        promo = promotable(kind, ops)
+        assert (antichain and not promo) == ok, (kind, [print_term(o) for o in ops])
+        why["kept" if ok else "comparable" if not antichain else "promotable"] += 1
+    # both halves of the test reject something on their own
+    assert all(why.values()), why
+
+
+def test_promotable_matches_leq_against_the_built_node(rng):
+    # operands up to size 6, so the recursion reaches (W) inside a
+    # joinand's meetand, which no candidate up to F3 size 5 needs
+    pool = list(enumerate_terms(G, 6))
+    hits = 0
+    for _ in range(3000):
+        kind = rng.choice((JOIN, MEET))
+        ops = rng.sample([t for t in pool if t.kind != kind], rng.choice((2, 3)))
+        whole = join(*ops) if kind == JOIN else meet(*ops)
+        expect = any(leq(u, whole) if kind == JOIN else leq(whole, u)
+                     for o in ops if o.kind != GEN for u in o.ops)
+        assert promotable(kind, tuple(ops)) == expect, [print_term(o) for o in ops]
+        hits += expect
+    assert 0 < hits < 3000
+
+
+def test_enumeration_interns_only_kept_terms():
+    # generator names no other test uses, so every kept term is new
+    gens = GeneratorSet(("m1", "m2", "m3", "m4"))
+    interned, canon = len(terms._INTERN), len(whitman._CANON)
+    out = list(enumerate_terms(gens, 4))
+    assert len(out) == 1640
+    assert len(terms._INTERN) - interned <= len(out)
+    assert len(whitman._CANON) == canon

@@ -14,7 +14,7 @@ from freelat.verify import (
     _G4,
     _coverage_tables,
     _F3Search,
-    _mask_key,
+    _mask_keys,
     _triple_verdict,
     _union_checks,
     check_pi3_in_f3,
@@ -236,6 +236,23 @@ def test_f3_size_five_counts():
     covered = sum(v for k, v in rep.data.items()
                   if isinstance(k, str) and k.startswith("covered_by_"))
     assert covered == 1023
+
+
+def _mask_key(t, gens4):
+    """Oracle for verify._mask_keys: the generators below and above t,
+    found with leq."""
+    dn = sum(1 << k for k, g in enumerate(gens4) if leq(g, t))
+    up = sum(1 << k for k, g in enumerate(gens4) if leq(t, g))
+    return dn, up
+
+
+def test_operand_built_mask_keys_match_leq_oracle():
+    g4 = _G4.terms()
+    n = 0
+    for t, key in _mask_keys(enumerate_terms(_G4, 4)):
+        assert key == _mask_key(t, g4), print_term(t)
+        n += 1
+    assert n == 1640
 
 
 def test_mask_key_basics():
