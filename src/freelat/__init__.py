@@ -38,20 +38,16 @@ from .finlat import (
     find_isomorphism,
     from_covers,
     join_irreducibles,
-    meet_irreducibles,
     minimal_join_covers,
-    minimal_meet_covers,
     poset_from_covers,
     tarski_lfp,
     to_dot,
 )
 from .ideals import (
-    ChainFilter,
     ChainIdeal,
     MemberAnswer,
     ideal_member,
     join_member,
-    meet_member,
     sd_meet_failure_report,
     yz_chains,
 )

@@ -206,22 +206,6 @@ def join_irreducibles(L: FiniteLattice) -> list[int]:
     return L._jis
 
 
-def meet_irreducibles(L: FiniteLattice) -> list[int]:
-    return join_irreducibles(L.dual())
-
-
-def is_join_prime(L: FiniteLattice, a: int) -> bool:
-    for b in range(L.n):
-        for c in range(b, L.n):
-            if L.leq(a, L.joins[b][c]) and not (L.leq(a, b) or L.leq(a, c)):
-                return False
-    return True
-
-
-def is_meet_prime(L: FiniteLattice, a: int) -> bool:
-    return is_join_prime(L.dual(), a)
-
-
 def check_W(L: FiniteLattice) -> tuple[bool, tuple[int, int, int, int] | None]:
     """Does every comparison a*b <= c+d resolve through one of the four
     one-sided comparisons?  Returns the first failing quadruple if not."""
@@ -308,10 +292,6 @@ def minimal_join_covers(L: FiniteLattice, a: int) -> list[tuple[int, ...]]:
     out = [C for C in cands
            if not any(D != C and refines(D, C) for D in cands)]
     return sorted(out, key=lambda C: (len(C), C))
-
-
-def minimal_meet_covers(L: FiniteLattice, a: int) -> list[tuple[int, ...]]:
-    return minimal_join_covers(L.dual(), a)
 
 
 def d_rank(L: FiniteLattice) -> tuple[list[int | None], int | None]:

@@ -1,4 +1,4 @@
-"""Ideals and filters of the free lattice presented by generator chains.
+"""Ideals of the free lattice presented by generator chains.
 
 The ideal lattice of a free lattice is where semidistributivity breaks:
 with the chains y[k+1] = y + x*z[k] and z[k+1] = z + x*y[k], the ideals
@@ -38,8 +38,6 @@ class ChainIdeal:
     increasing as far as the budget reaches.
     """
 
-    _kind, _reversal = "ideal", "decreases"
-
     def __init__(self, name: str,
                  terms: Sequence[Term] | Callable[[int], Term],
                  budget: int):
@@ -52,15 +50,10 @@ class ChainIdeal:
         else:
             self._terms = list(terms)[:budget + 1]
             if not self._terms:
-                raise ValueError(f"{self._kind} {name}: no chain terms")
+                raise ValueError(f"ideal {name}: no chain terms")
         for k in range(len(self._terms) - 1):
-            if not self.holds(self._terms[k + 1], self._terms[k]):
-                raise ValueError(
-                    f"{self._kind} {name}: chain {self._reversal} at index {k}")
-
-    def holds(self, c: Term, w: Term) -> bool:
-        """Does w lie in the principal ideal of c?"""
-        return leq(w, c)
+            if not leq(self._terms[k], self._terms[k + 1]):
+                raise ValueError(f"ideal {name}: chain decreases at index {k}")
 
     def term_at(self, k: int) -> Term:
         return self._terms[min(k, len(self._terms) - 1)]
@@ -73,26 +66,12 @@ class ChainIdeal:
         return f"<{type(self).__name__} {self.name} depth={self.depth}>"
 
 
-class ChainFilter(ChainIdeal):
-    """Union of the principal filters of a decreasing term chain."""
-
-    _kind, _reversal = "filter", "increases"
-
-    def holds(self, c: Term, w: Term) -> bool:
-        """Does w lie in the principal filter of c?"""
-        return leq(c, w)
-
-
 def ideal_member(I: ChainIdeal, w: Term) -> MemberAnswer:
-    """Is w in the chain's union, with the first index that holds it?
-    A ChainFilter answers for its filter."""
+    """Is w in the chain's union, with the first index that holds it?"""
     for k in range(I.depth + 1):
-        if I.holds(I.term_at(k), w):
+        if leq(w, I.term_at(k)):
             return MemberAnswer(YES, (k,))
     return MemberAnswer(NO_UP_TO, None)
-
-
-filter_member = ideal_member
 
 
 def join_member(I: ChainIdeal, J: ChainIdeal, w: Term) -> MemberAnswer:
@@ -105,15 +84,6 @@ def join_member(I: ChainIdeal, J: ChainIdeal, w: Term) -> MemberAnswer:
     for i, j in pairs:
         if leq(w, join(I.term_at(i), J.term_at(j))):
             return MemberAnswer(YES, (i, j))
-    return MemberAnswer(NO_UP_TO, None)
-
-
-def meet_member(I: ChainIdeal, J: ChainIdeal, w: Term) -> MemberAnswer:
-    """The ideal meet is the intersection, so this is just conjunction."""
-    a = ideal_member(I, w)
-    b = ideal_member(J, w)
-    if a and b:
-        return MemberAnswer(YES, a.witness + b.witness)
     return MemberAnswer(NO_UP_TO, None)
 
 

@@ -100,11 +100,6 @@ def dumps(P: FinitePoset) -> str:
     return "\n".join(out) + "\n"
 
 
-def dump(P: FinitePoset, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(P))
-
-
 def load_lattice(spec: str) -> FiniteLattice:
     """Resolve a command-line lattice argument: ``builtin:NAME`` or a
     file path.  A file with a ``poset`` header is rejected here."""

@@ -35,6 +35,7 @@ from .terms import (
     MEET,
     GeneratorSet,
     Term,
+    dual_term,
     enumerate_terms,
     gen,
     parse_term,
@@ -164,18 +165,40 @@ def verify_figure3() -> Report:
     return rep
 
 
+def _mask_keys(gens: GeneratorSet,
+               terms: Iterable[Term]) -> Iterator[tuple[Term, tuple[int, int]]]:
+    """Each term over gens with its key (D, U), the generators below and
+    above it as bits in gens order, built from the keys of its operands,
+    which must come first.  Generators of a free lattice are join- and
+    meet-prime (Whitman), so generator k has key (1<<k, 1<<k), a join
+    the OR of its operands' D and the AND of their U, and a meet the AND
+    of D and the OR of U."""
+    mask = {g: (1 << k, 1 << k) for k, g in enumerate(gens.terms())}
+    for t in terms:
+        if t.kind != GEN:
+            dn, up = zip(*(mask[o] for o in t.ops))
+            dop, uop = ((operator.or_, operator.and_) if t.kind == JOIN
+                        else (operator.and_, operator.or_))
+            mask[t] = (functools.reduce(dop, dn), functools.reduce(uop, up))
+        yield t, mask[t]
+
+
 class _F3Search:
-    """A pool of canonical terms with every order question of the
-    coverage search answered on pool indices and bitmasks, without
-    building a term.
+    """A pool of terms with every order question of the coverage search
+    answered on pool indices and bitmasks, without building a term.
 
     The pool must list every operand of a term before the term, as
-    enumerate_terms does (sizes never decrease).  below[i] has bit k set
-    iff pool[k] <= pool[i], above[i] iff pool[i] <= pool[k], and
-    opmask[i] is the set of pool[i]'s operands.
+    enumerate_terms does (sizes never decrease); Whitman's recursion is
+    exact on any such pool.  below[i] has bit k set iff pool[k] <=
+    pool[i], and opmask[i] is the set of pool[i]'s operands.
+
+    Meet-side questions are the join-side ones asked of dual: the same
+    search over dual_term of each pool term, at the same indices and with
+    the same operand order.  So dual.below[i] has bit k set iff pool[i]
+    <= pool[k], and dual.dual is this search.
     """
 
-    def __init__(self, pool: Iterable[Term]):
+    def __init__(self, pool: Iterable[Term], dual: _F3Search | None = None):
         self.pool = list(pool)
         idx = {t: i for i, t in enumerate(self.pool)}
         self.n = n = len(self.pool)
@@ -186,21 +209,17 @@ class _F3Search:
         self._shapes = [(1 << k, self.opmask[k], self.kind[k] == JOIN)
                         for k in range(n) if self.kind[k] != GEN]
         self.below: list[int] = []
-        self.above: list[int] = []
         for i, (kind, ops) in enumerate(zip(self.kind, self.ops)):
             bit = 1 << i
             down = [self.below[o] for o in ops]
-            up = [self.above[o] for o in ops]
-            # below a meet iff below every meetand, above a join iff
-            # above every joinand
+            # below a meet iff below every meetand
             self.below.append(
                 bit | functools.reduce(operator.and_, down) if kind == MEET
                 else self._down(bit | functools.reduce(operator.or_, down, 0)))
-            self.above.append(
-                bit | functools.reduce(operator.and_, up) if kind == JOIN
-                else self._up(bit | functools.reduce(operator.or_, up, 0)))
         self._joins: dict[tuple[int, int], int] = {}
-        self._meets: dict[tuple[int, int], int] = {}
+        # the dual search is passed in only when it builds this one
+        self.dual = (_F3Search((dual_term(t) for t in self.pool), self)
+                     if dual is None else dual)
 
     def _down(self, col: int) -> int:
         """The pool terms below a generator or a formal join e, given in
@@ -213,14 +232,6 @@ class _F3Search:
                 col |= bit
         return col
 
-    def _up(self, col: int) -> int:
-        """Dually, the pool terms above a generator or a formal meet e,
-        given in col the terms above e's meetands (or e itself)."""
-        for bit, om, is_join in self._shapes:
-            if om & col if is_join else not om & ~col:
-                col |= bit
-        return col
-
     def leq_join(self, a: int, mask: int) -> bool:
         """pool[a] <= the join of the members in mask.
 
@@ -229,7 +240,7 @@ class _F3Search:
         iff one of its operands is.  This is exact by Whitman's
         condition (W): every joinand of a member lies below that member,
         so testing whole members is enough."""
-        if self.above[a] & mask:
+        if self.dual.below[a] & mask:
             return True
         kind = self.kind[a]
         if kind == JOIN:
@@ -243,22 +254,6 @@ class _F3Search:
                     return True
         return False
 
-    def geq_meet(self, a: int, mask: int) -> bool:
-        """The meet of the members in mask <= pool[a]; dual of leq_join."""
-        if self.below[a] & mask:
-            return True
-        kind = self.kind[a]
-        if kind == MEET:
-            for o in self.ops[a]:
-                if not self.geq_meet(o, mask):
-                    return False
-            return True
-        if kind == JOIN:
-            for o in self.ops[a]:
-                if self.geq_meet(o, mask):
-                    return True
-        return False
-
     def is_free(self, members: tuple[int, ...]) -> bool:
         """The distinct pool terms in members are independent: none lies
         below the join or above the meet of the others, so
@@ -268,7 +263,7 @@ class _F3Search:
             mask |= 1 << q
         for q in members:
             rest = mask ^ (1 << q)
-            if self.leq_join(q, rest) or self.geq_meet(q, rest):
+            if self.leq_join(q, rest) or self.dual.leq_join(q, rest):
                 return False
         return True
 
@@ -280,34 +275,23 @@ class _F3Search:
             col = self._joins[key] = self._down(self.below[i] | self.below[j])
         return col
 
-    def above_meet(self, i: int, j: int) -> int:
-        """Bit k set iff pool[i] * pool[j] <= pool[k]."""
-        key = (i, j) if i <= j else (j, i)
-        col = self._meets.get(key)
-        if col is None:
-            col = self._meets[key] = self._up(self.above[i] | self.above[j])
-        return col
-
     def compatible(self) -> list[int]:
         """compat[i] has bit j set iff pool[i] and pool[j] may sit in one
         free tuple of four: they are incomparable, and their meet is not
         the bottom nor their join the top (the other members would lie
         above or below it)."""
         n = self.n
-        gens = [i for i in range(n) if self.kind[i] == GEN]
-        every = (1 << len(gens)) - 1
-        # which generators lie below (above) each term
-        gens_below = [sum(1 << p for p, g in enumerate(gens)
-                          if (self.below[i] >> g) & 1) for i in range(n)]
-        gens_above = [sum(1 << p for p, g in enumerate(gens)
-                          if (self.above[i] >> g) & 1) for i in range(n)]
+        gens = GeneratorSet(tuple(t.name for t in self.pool if t.kind == GEN))
+        every = (1 << gens.rank) - 1
+        keys = [key for _, key in _mask_keys(gens, self.pool)]
+        above = self.dual.below
         compat = [0] * n
         for i in range(n):
             for j in range(i + 1, n):
-                if ((self.below[i] | self.above[i]) >> j) & 1:
+                if ((self.below[i] | above[i]) >> j) & 1:
                     continue
-                if (gens_below[i] | gens_below[j] == every
-                        or gens_above[i] | gens_above[j] == every):
+                if (keys[i][0] | keys[j][0] == every
+                        or keys[i][1] | keys[j][1] == every):
                     continue
                 compat[i] |= 1 << j
                 compat[j] |= 1 << i
@@ -317,15 +301,14 @@ class _F3Search:
         """Quads i < j < k < l of pairwise compatible terms where no
         member lies below the join or above the meet of two others: the
         candidates left for is_free."""
+        bj, am = self.below_join, self.dual.below_join
         ci = compat[i] >> (i + 1) << (i + 1)
         for j in _bits(ci):
-            cij = (ci & compat[j]
-                   & ~self.below_join(i, j) & ~self.above_meet(i, j))
+            cij = ci & compat[j] & ~bj(i, j) & ~am(i, j)
             cij = cij >> (j + 1) << (j + 1)
             for k in _bits(cij):
-                cijk = (cij & compat[k]
-                        & ~self.below_join(i, k) & ~self.above_meet(i, k)
-                        & ~self.below_join(j, k) & ~self.above_meet(j, k))
+                cijk = (cij & compat[k] & ~bj(i, k) & ~am(i, k)
+                        & ~bj(j, k) & ~am(j, k))
                 cijk = cijk >> (k + 1) << (k + 1)
                 for l in _bits(cijk):
                     yield i, j, k, l
@@ -365,6 +348,12 @@ def _union_checks(names: list[str]) -> list[tuple[str, int]]:
     return out
 
 
+def _check_budget(budget_seconds: float | None) -> None:
+    # every comparison with NaN is false, so a NaN budget never runs out
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise ValueError(f"budget must be >= 0 seconds, got {budget_seconds}")
+
+
 def check_pi3_in_f3(max_size: int = 6,
                     budget_seconds: float | None = None) -> Report:
     """Every 4-tuple of canonical 3-generator terms (size <= max_size)
@@ -378,7 +367,9 @@ def check_pi3_in_f3(max_size: int = 6,
     definition, so the pruning can only discard tuples that were never
     free.  With a budget the clock is read at each first member and
     every 256 tuples checked; a search cut short is inconclusive unless
-    a free tuple it found is uncovered."""
+    a free tuple it found is uncovered.  A NaN or negative budget raises
+    ValueError."""
+    _check_budget(budget_seconds)
     t0 = time.time()
     rep = Report("pi3-coverage-in-f3")
     rep.set("max_size", max_size)
@@ -442,19 +433,6 @@ def check_pi3_in_f3(max_size: int = 6,
 _G4 = GeneratorSet(("x1", "x2", "x3", "x4"))
 
 
-def _mask_keys(terms: Iterable[Term]) -> Iterator[tuple[Term, tuple[int, int]]]:
-    """Each 4-generator term with its key (D, U), the generators below and
-    above it, built from the keys of its operands, which must come first."""
-    mask = {g: (1 << k, 1 << k) for k, g in enumerate(_G4.terms())}
-    for t in terms:
-        if t.kind != GEN:
-            dn, up = zip(*(mask[o] for o in t.ops))
-            dop, uop = ((operator.or_, operator.and_) if t.kind == JOIN
-                        else (operator.and_, operator.or_))
-            mask[t] = (functools.reduce(dop, dn), functools.reduce(uop, up))
-        yield t, mask[t]
-
-
 def _triple_verdict(keys: tuple[tuple[int, int], ...]) -> tuple[bool, str | None, str | None]:
     """(valid, case1 witness, case2 witness) for a z-triple known only by
     its comparison masks against the four generators.
@@ -503,17 +481,16 @@ def search_pi3_in_f4(max_size: int = 4,
     scan return identical verdicts.
 
     A term's mask key (D, U), the generators below and above it, is built
-    from its operands' keys, which enumeration yields first.  Generators
-    of a free lattice are join- and meet-prime (Whitman), so generator k
-    has key (1<<k, 1<<k), a join (OR of D, AND of U) and a meet (AND of
-    D, OR of U)."""
+    by _mask_keys from its operands' keys, which enumeration yields
+    first.  A NaN or negative budget raises ValueError."""
+    _check_budget(budget_seconds)
     t0 = time.time()
     rep = Report("pi3-search-in-f4")
     rep.set("max_size", max_size)
     classes: dict[tuple[int, int], int] = {}
     reps: dict[tuple[int, int], Term] = {}
     nterms = 0
-    for t, key in _mask_keys(enumerate_terms(_G4, max_size)):
+    for t, key in _mask_keys(_G4, enumerate_terms(_G4, max_size)):
         nterms += 1
         classes[key] = classes.get(key, 0) + 1
         reps.setdefault(key, t)
@@ -555,8 +532,6 @@ def search_pi3_in_f4(max_size: int = 4,
     rep.set("valid_triples_by_class", valid)
     rep.add_sub(case1)
     rep.add_sub(case2)
-    if rep.status == PASS and (hits1 or hits2):
-        rep.status = FAIL
     return rep
 
 

@@ -274,6 +274,23 @@ def test_verify_pi3_f3_budget_exits_1(capsys):
     assert "data stopped=during_tuple_search_at_term_0_of_121" in out
 
 
+@pytest.mark.parametrize("budget, code", [
+    ("0", 1), ("inf", 0), ("nan", 2), ("-1", 2)])
+def test_verify_pi3_f3_budget_values(budget, code, capsys):
+    # NaN would never run out: every elapsed > nan comparison is false
+    assert run(["verify", "pi3-f3", "--max-size", "4", "--budget", budget]) == code
+    if code == 2:
+        assert "budget must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget, code", [
+    ("0", 1), ("inf", 0), ("nan", 2), ("-1", 2)])
+def test_verify_pi3_f4_budget_values(budget, code, capsys):
+    assert run(["verify", "pi3-f4", "--max-size", "2", "--budget", budget]) == code
+    if code == 2:
+        assert "budget must be >= 0" in capsys.readouterr().err
+
+
 def test_verify_separate(capsys):
     assert run(["verify", "separate", "x", "y", "--format", "records"]) == 0
     assert "lattice=pentagon" in capsys.readouterr().out

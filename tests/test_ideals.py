@@ -1,18 +1,14 @@
 import pytest
 
-from conftest import rand_term
 from freelat.ideals import (
-    ChainFilter,
     ChainIdeal,
-    filter_member,
     ideal_member,
     join_member,
-    meet_member,
     sd_meet_failure_report,
     yz_chains,
 )
 from freelat.reporting import PASS
-from freelat.terms import GeneratorSet, dual_term, gen, parse_term, print_term
+from freelat.terms import GeneratorSet, gen, parse_term, print_term
 from freelat.whitman import canonical_form, equal, leq
 
 G = GeneratorSet(("x", "y", "z"))
@@ -25,8 +21,6 @@ def t(src):
 def test_chain_validation():
     with pytest.raises(ValueError, match="decreases"):
         ChainIdeal("bad", [t("x+y"), t("x")], budget=1)
-    with pytest.raises(ValueError, match="increases"):
-        ChainFilter("bad", [t("x"), t("x+y")], budget=1)
     with pytest.raises(ValueError, match="budget"):
         ChainIdeal("bad", [t("x")], budget=-1)
     with pytest.raises(ValueError, match="no chain terms"):
@@ -49,40 +43,14 @@ def test_members_and_witnesses():
     ans = ideal_member(Y, t("x"))
     assert not ans and ans.witness is None
     assert ans.verdict == "no-up-to-budget"
-    F = ChainFilter("F", [t("x+y"), t("x")], budget=1)
-    assert filter_member(F, t("x+z")).witness == (1,)
-    assert not filter_member(F, t("y"))
 
 
-def test_filter_member_is_ideal_member_of_the_dual_chain(rng):
-    # dualizing swaps the order, so the filter of a decreasing chain is
-    # the ideal of the dualized (increasing) chain, read on dual_term(w)
-    cases = [
-        (ChainFilter("F", lambda k: dual_term(yz_chains(k)[0]), budget=4),
-         ChainIdeal("I", lambda k: yz_chains(k)[0], budget=4)),
-        (ChainFilter("F", [t("x+y"), t("x")], budget=1),
-         ChainIdeal("I", [t("x*y"), t("x")], budget=1)),
-    ]
-    ws = [rand_term(rng, G.names, rng.randrange(6)) for _ in range(200)]
-    ws += [dual_term(yz_chains(k)[0]) for k in range(5)]
-    verdicts = set()
-    for F, I in cases:
-        for w in ws:
-            ans = filter_member(F, w)
-            assert ans == ideal_member(I, dual_term(w))
-            verdicts.add(ans.verdict)
-    assert verdicts == {"yes", "no-up-to-budget"}
-
-
-def test_join_and_meet_members():
+def test_join_members():
     X = ChainIdeal("x", [t("x")], budget=2)
     Y = ChainIdeal("y", [t("y")], budget=2)
     ans = join_member(X, Y, t("x+y"))
     assert ans and ans.witness == (0, 0)
     assert not join_member(X, Y, t("z"))
-    ans = meet_member(X, Y, t("x*y"))
-    assert ans and ans.witness == (0, 0)
-    assert not meet_member(X, Y, t("x"))
     # the shallow-first witness: y[1] needs depth 1 on the Y side
     Yc = ChainIdeal("Y", lambda k: yz_chains(k)[0], budget=3)
     Zc = ChainIdeal("Z", lambda k: yz_chains(k)[1], budget=3)

@@ -10,7 +10,6 @@ from freelat.finlat import (
 )
 from freelat.latfile import (
     LatticeFileError,
-    dump,
     dumps,
     load_latfile,
     load_lattice,
@@ -31,7 +30,7 @@ def test_round_trip_all_builtins():
 def test_dump_and_load_file(tmp_path):
     L = builtin_lattice("n5")
     p = tmp_path / "n5.lat"
-    dump(L, str(p))
+    p.write_text(dumps(L), encoding="utf-8")
     M = load_latfile(str(p))
     assert find_isomorphism(L, M) is not None
 

@@ -7,8 +7,18 @@ import pytest
 from freelat import verify
 from freelat.bhom import kernel_table
 from freelat.builders import doubled_hom
-from freelat.reporting import INCONCLUSIVE, PASS
-from freelat.terms import enumerate_terms, gen, join, meet, parse_term, print_term
+from freelat.cli import run
+from freelat.reporting import FAIL, INCONCLUSIVE, PASS
+from freelat.terms import (
+    GEN,
+    dual_term,
+    enumerate_terms,
+    gen,
+    join,
+    meet,
+    parse_term,
+    print_term,
+)
 from freelat.verify import (
     _G3,
     _G4,
@@ -116,7 +126,11 @@ def test_below_matrix_agrees_with_leq():
             got = bool((S.below[i] >> k) & 1)
             assert got == leq(S.pool[k], S.pool[i]), (
                 print_term(S.pool[k]), print_term(S.pool[i]))
-            assert bool((S.above[k] >> i) & 1) == got
+            assert bool((S.dual.below[k] >> i) & 1) == got
+    # the dual search is built once, at the same indices
+    assert S.dual.dual is S
+    assert S.dual.pool == [dual_term(t) for t in S.pool]
+    assert S.dual.ops == S.ops
 
 
 def test_join_meet_columns_agree_with_leq():
@@ -125,7 +139,7 @@ def test_join_meet_columns_agree_with_leq():
     pairs = [(rng.randrange(S.n), rng.randrange(S.n)) for _ in range(60)]
     for i, j in pairs:
         bj = S.below_join(i, j)
-        am = S.above_meet(i, j)
+        am = S.dual.below_join(i, j)
         tj = join(S.pool[i], S.pool[j])
         tm = meet(S.pool[i], S.pool[j])
         for k in range(S.n):
@@ -133,7 +147,7 @@ def test_join_meet_columns_agree_with_leq():
             assert bool((am >> k) & 1) == leq(tm, S.pool[k])
 
 
-def test_leq_join_geq_meet_agree_with_leq():
+def test_leq_join_and_dual_leq_join_agree_with_leq():
     S = _pool(4)
     rng = random.Random(SEED)
     for _ in range(3000):
@@ -142,7 +156,7 @@ def test_leq_join_geq_meet_agree_with_leq():
         mask = sum(1 << m for m in members)
         ts = [S.pool[m] for m in members]
         assert S.leq_join(a, mask) == leq(S.pool[a], join(*ts))
-        assert S.geq_meet(a, mask) == leq(meet(*ts), S.pool[a])
+        assert S.dual.leq_join(a, mask) == leq(meet(*ts), S.pool[a])
 
 
 def test_is_free_agrees_with_ni_predicate_on_size_five_survivors():
@@ -166,7 +180,7 @@ def test_is_free_agrees_with_ni_predicate_on_random_quads():
         quad = rng.sample(range(S.n), 4)
         if n % 2:
             # swap in a term comparable to the first member
-            near = (S.below[quad[0]] | S.above[quad[0]]) & ~sum(1 << q for q in quad)
+            near = (S.below[quad[0]] | S.dual.below[quad[0]]) & ~sum(1 << q for q in quad)
             if near:
                 quad[3] = rng.choice([k for k in range(S.n) if (near >> k) & 1])
                 comparable += 1
@@ -249,10 +263,25 @@ def _mask_key(t, gens4):
 def test_operand_built_mask_keys_match_leq_oracle():
     g4 = _G4.terms()
     n = 0
-    for t, key in _mask_keys(enumerate_terms(_G4, 4)):
+    for t, key in _mask_keys(_G4, enumerate_terms(_G4, 4)):
         assert key == _mask_key(t, g4), print_term(t)
         n += 1
     assert n == 1640
+
+
+def test_shared_mask_keys_match_f3_below_above_bits():
+    # the generator bits the coverage search read off below/above before
+    # it shared _mask_keys
+    S = _pool(5)
+    above = S.dual.below
+    gens = [i for i in range(S.n) if S.kind[i] == GEN]
+    gens_below = [sum(1 << p for p, g in enumerate(gens)
+                      if (S.below[i] >> g) & 1) for i in range(S.n)]
+    gens_above = [sum(1 << p for p, g in enumerate(gens)
+                      if (above[i] >> g) & 1) for i in range(S.n)]
+    keys = [key for _, key in _mask_keys(_G3, S.pool)]
+    assert keys == list(zip(gens_below, gens_above))
+    assert len(keys) == 121
 
 
 def test_mask_key_basics():
@@ -357,6 +386,23 @@ def test_f4_budget_stops_early():
     assert "stopped" in rep.data
 
 
+def test_f4_covering_triple_fails_report_and_cli(monkeypatch, capsys):
+    real = verify._triple_verdict
+
+    def covering(keys):
+        ok, _, c2 = real(keys)
+        return ok, "I^z1|J_z2|K" if ok else None, c2
+
+    monkeypatch.setattr(verify, "_triple_verdict", covering)
+    rep = search_pi3_in_f4(1)
+    assert rep.status == FAIL
+    assert [s.status for s in rep.subs] == [FAIL, PASS]
+    assert rep.subs[0].data["covering_triples"] == 80
+    assert run(["verify", "pi3-f4", "--max-size", "1", "--format", "records"]) == 1
+    assert capsys.readouterr().out.startswith(
+        "claim=pi3-search-in-f4 status=fail\n")
+
+
 def test_separate_generators_uses_pentagon():
     rep = separate_terms(gen("x"), gen("y"))
     assert rep.status == PASS
@@ -412,4 +458,4 @@ def test_below_matrix_standalone():
         assert (S.below[i] >> i) & 1
         for k in range(len(pool)):
             assert bool((S.below[i] >> k) & 1) == leq(pool[k], pool[i])
-            assert bool((S.above[i] >> k) & 1) == leq(pool[i], pool[k])
+            assert bool((S.dual.below[i] >> k) & 1) == leq(pool[i], pool[k])
