@@ -59,6 +59,8 @@ def _hom(lat_spec: str, map_spec: str) -> Hom:
         if "=" not in piece:
             raise UsageError(f"bad map entry {piece!r}; expected gen=label")
         g, lbl = (w.strip() for w in piece.split("=", 1))
+        if g in images:
+            raise UsageError(f"generator {g!r} mapped twice")
         try:
             images[g] = L.index_of(lbl)
         except KeyError as e:
@@ -335,10 +337,7 @@ def run(argv: list[str] | None = None) -> int:
             return 0
         if args.cmd == "ni":
             G = GeneratorSet.from_spec(args.gens)
-            terms = [_term(s, G) for s in args.terms]
-            if len(terms) < 2:
-                raise UsageError("need at least two terms")
-            return _bool_out(ni_predicate(terms))
+            return _bool_out(ni_predicate([_term(s, G) for s in args.terms]))
         if args.cmd == "free4":
             G = GeneratorSet.from_spec(args.gens)
             return _bool_out(generates_free([_term(s, G) for s in args.terms]))

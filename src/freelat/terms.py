@@ -294,11 +294,11 @@ def enumerate_terms(gens: GeneratorSet, max_size: int) -> Iterator[Term]:
     candidates are joins of distinct, key-sorted canonical gens and
     meets, and dually; such a join is canonical iff its operands form an
     antichain and no meetand of an operand lies below the whole join.
-    _size_combos skips comparable picks as it goes, whitman.promotable
+    _size_combos skips comparable picks as it goes, whitman.promotion
     checks the second condition against the operand tuple, and only the
     kept terms are built."""
     # imported here because whitman imports this module
-    from .whitman import leq, promotable
+    from .whitman import leq, promotion
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
     base = sorted(gens.terms(), key=term_key)
@@ -310,7 +310,7 @@ def enumerate_terms(gens: GeneratorSet, max_size: int) -> Iterator[Term]:
         fresh: list[Term] = []
         for kind, pool in ((JOIN, meet_pool), (MEET, join_pool)):
             for ops in _size_combos(pool, s - 1, leq):
-                if not promotable(kind, ops):
+                if promotion(kind, ops) is None:
                     fresh.append(_make(kind, None, ops))
         fresh.sort(key=term_key)
         yield from fresh

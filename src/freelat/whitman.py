@@ -9,19 +9,21 @@ other only if identical.  Results are memoized for the process lifetime,
 keyed on interned term identity.
 
 canonical_form rewrites a term to the shortest join-of-meets/meet-of-joins
-normal form: operands canonicalized first, same-kind nesting flattened,
-operands absorbed by the rest dropped, and a meetand u of a joinand with
-u below the whole join promoted in its place (dually inside meets).  Two
-terms denote the same free-lattice element iff their canonical forms are
-the identical object.
+normal form (Whitman; Freese, Ježek and Nation, Free Lattices, Thm 1.18):
+operands canonicalized first and same-kind nesting flattened; then,
+while some meetand u of a joinand lies below the whole join, u replaces
+that joinand (dually inside meets); then the operands below another
+operand (dually, above one) are dropped.  Only the result node is
+built.  Two terms denote the same free-lattice element iff their
+canonical forms are the identical object.
 
-promotable is the half of the canonical-form test (Whitman; Freese,
-Ježek and Nation, Free Lattices, Thm 1.18) that enumerate_terms cannot
-check pair by pair: given operands that are canonical, key-sorted,
-distinct and none of the node's own kind, the node is canonical iff
-they form an antichain and no operand's operand lies below the whole
-join (dually, above the whole meet).  It runs Whitman's recursion
-against the operand tuple, so the candidate node is never built.
+promotion finds the next such (operand, u) pair.  It runs Whitman's
+recursion against the operand tuple, so the node is never built.
+enumerate_terms uses it as the half of the canonical-form test it
+cannot check pair by pair: given operands that are canonical,
+key-sorted, distinct and none of the node's own kind, the node is
+canonical iff they form an antichain and promotion finds nothing.
+ni_predicate likewise compares each term with the tuple of the others.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from .terms import (
     _node,
     enumerate_terms,
     gen,
-    join,
-    meet,
     substitute,
     term_key,
 )
@@ -75,6 +75,15 @@ def equal(s: Term, t: Term) -> bool:
 _CANON: dict[Term, Term] = {}
 
 
+def _flat(kind: str, ts) -> dict[Term, None]:
+    # ts with same-kind nodes opened up, duplicates dropped; a dict keeps
+    # the work order fixed from run to run, as a set of terms would not
+    out: dict[Term, None] = {}
+    for c in ts:
+        out.update(dict.fromkeys(c.ops if c.kind == kind else (c,)))
+    return out
+
+
 def canonical_form(t: Term) -> Term:
     if t.kind == GEN:
         return t
@@ -82,42 +91,18 @@ def canonical_form(t: Term) -> Term:
     if r is not None:
         return r
     kind = t.kind
-    other = MEET if kind == JOIN else JOIN
-    work: list[Term] = []
-    for o in t.ops:
-        c = canonical_form(o)
-        work.extend(c.ops if c.kind == kind else (c,))
-    work = sorted(set(work), key=term_key)
-    while True:
-        whole = _node(kind, tuple(work))
-        promoted = False
-        for i, o in enumerate(work):
-            if o.kind != other:
-                continue
-            for u in o.ops:
-                # u covers the whole operand: joins absorb such a meetand's
-                # meet upward, meets dually
-                if leq(u, whole) if kind == JOIN else leq(whole, u):
-                    del work[i]
-                    work.extend(u.ops if u.kind == kind else (u,))
-                    work = sorted(set(work), key=term_key)
-                    promoted = True
-                    break
-            if promoted:
-                break
-        if promoted:
-            continue
-        dropped = False
-        if len(work) >= 2:
-            for i, o in enumerate(work):
-                rest = _node(kind, tuple(work[:i] + work[i + 1:]))
-                if leq(o, rest) if kind == JOIN else leq(rest, o):
-                    del work[i]
-                    dropped = True
-                    break
-        if not dropped:
-            break
-    r = _node(kind, tuple(work))
+    work = _flat(kind, map(canonical_form, t.ops))
+    # promote: the value of the whole never changes, since o <= u <= whole
+    while (hit := promotion(kind, tuple(work))) is not None:
+        o, u = hit
+        del work[o]
+        work.update(_flat(kind, (u,)))
+    # absorb: with nothing promotable, an operand below the join of the
+    # rest is below one other operand (join-prime gens, (W) for meets)
+    keep = [o for o in work
+            if not any(p is not o and (leq(o, p) if kind == JOIN else leq(p, o))
+                       for p in work)]
+    r = _node(kind, tuple(sorted(keep, key=term_key)))
     _CANON[t] = r
     if r is not t:
         _CANON[r] = r
@@ -134,21 +119,25 @@ def _under(u: Term, kind: str, ops: tuple[Term, ...]) -> bool:
     return u.kind != GEN and any(_under(o, kind, ops) for o in u.ops)
 
 
-def promotable(kind: str, ops: tuple[Term, ...]) -> bool:
-    """Some operand of an operand of kind(*ops) lies below the whole join
-    (above the whole meet), so canonical_form would promote it.  The ops
-    are gens and terms of the other kind."""
-    return any(_under(u, kind, ops) for o in ops if o.kind != GEN for u in o.ops)
+def promotion(kind: str, ops: tuple[Term, ...]) -> tuple[Term, Term] | None:
+    """First (o, u) with o in ops and u an operand of o lying below the
+    whole join (above the whole meet) of ops, else None.  The ops are
+    gens and terms of the other kind."""
+    for o in ops:
+        for u in o.ops:
+            if _under(u, kind, ops):
+                return o, u
+    return None
 
 
 def ni_predicate(terms: Sequence[Term]) -> bool:
     """Some term is below the join of the others, or above their meet."""
-    ts = list(terms)
+    ts = tuple(terms)
     if len(ts) < 2:
         raise ValueError("need at least two terms")
     for i, t in enumerate(ts):
         rest = ts[:i] + ts[i + 1:]
-        if leq(t, join(*rest)) or leq(meet(*rest), t):
+        if _under(t, JOIN, rest) or _under(t, MEET, rest):
             return True
     return False
 

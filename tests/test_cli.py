@@ -49,6 +49,7 @@ def test_ni_and_free4(capsys):
     assert run(["ni", "x", "x+y"]) == 0
     capsys.readouterr()
     assert run(["ni", "x"]) == 2
+    assert capsys.readouterr().err == "freelat: need at least two terms\n"
     assert run(["free4", "-g", "x,y,z,w", "x", "y", "z", "w"]) == 0
     assert capsys.readouterr().out.strip().endswith("true")
     assert run(["free4", "x", "y", "z", "x+y"]) == 1
@@ -219,6 +220,17 @@ def test_hom_bad_map_spec(capsys):
     assert "bad map entry" in capsys.readouterr().err
     assert run(["hom", "beta", "--lat", "builtin:n5",
                 "--map", "x=nope,y=b,z=a", "c"]) == 2
+
+
+def test_hom_generator_mapped_twice(capsys):
+    assert run(["hom", "beta", "--lat", "builtin:pentagon",
+                "--map", "x=c,x=b,y=b,z=a", "b"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "freelat: generator 'x' mapped twice\n"
+    assert run(["tower", "classify", "--stage", "builtin:fd3:x=x,y=y,z=z",
+                "--stage", "builtin:A:x=x,y=y,y=z", "x"]) == 2
+    assert "generator 'y' mapped twice" in capsys.readouterr().err
 
 
 def test_tower_classify_and_compare(capsys):

@@ -34,3 +34,25 @@ def test_every_public_function_and_class_has_a_caller_in_the_package():
                     if name not in used and name not in KEEP)
     assert not unused, f"no caller in the package: {unused}"
     assert KEEP <= defined.keys()
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.name == "__init__.py":
+            continue   # re-exports are not uses
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported: dict[str, int] = {}
+        used: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    imported[a.asname or a.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused += [f"{path.name}:{line}:{name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, f"imported but unused: {sorted(unused)}"

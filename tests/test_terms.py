@@ -7,7 +7,6 @@ from conftest import rand_term
 from freelat import terms, whitman
 from freelat.builders import pentagon
 from freelat.terms import (
-    GEN,
     JOIN,
     MEET,
     GeneratorSet,
@@ -24,7 +23,7 @@ from freelat.terms import (
     _size_combos,
     term_key,
 )
-from freelat.whitman import canonical_form, leq, promotable
+from freelat.whitman import canonical_form, leq, promotion
 
 G = GeneratorSet(("x", "y", "z"))
 X, Y, Z = G.terms()
@@ -233,7 +232,7 @@ def test_operand_test_agrees_with_canonical_form_on_every_candidate():
     for kind, ops, ok in candidates:
         antichain = not any(leq(a, b) or leq(b, a)
                             for a, b in itertools.combinations(ops, 2))
-        promo = promotable(kind, ops)
+        promo = promotion(kind, ops) is not None
         assert (antichain and not promo) == ok, (kind, [print_term(o) for o in ops])
         why["kept" if ok else "comparable" if not antichain else "promotable"] += 1
     # both halves of the test reject something on their own
@@ -249,10 +248,12 @@ def test_promotable_matches_leq_against_the_built_node(rng):
         kind = rng.choice((JOIN, MEET))
         ops = rng.sample([t for t in pool if t.kind != kind], rng.choice((2, 3)))
         whole = join(*ops) if kind == JOIN else meet(*ops)
-        expect = any(leq(u, whole) if kind == JOIN else leq(whole, u)
-                     for o in ops if o.kind != GEN for u in o.ops)
-        assert promotable(kind, tuple(ops)) == expect, [print_term(o) for o in ops]
-        hits += expect
+        below = [(o, u) for o in ops for u in o.ops
+                 if (leq(u, whole) if kind == JOIN else leq(whole, u))]
+        # the first witness in operand order, or None
+        want = below[0] if below else None
+        assert promotion(kind, tuple(ops)) == want, [print_term(o) for o in ops]
+        hits += bool(below)
     assert 0 < hits < 3000
 
 

@@ -1,9 +1,26 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import perturb, rand_term
-from freelat.terms import GeneratorSet, join, meet, parse_term, print_term
+from freelat import terms
+from freelat.terms import (
+    GEN,
+    JOIN,
+    MEET,
+    GeneratorSet,
+    _node,
+    dual_term,
+    enumerate_terms,
+    gen,
+    join,
+    meet,
+    parse_term,
+    print_term,
+    term_key,
+)
 from freelat.whitman import (
     canonical_form,
     equal,
@@ -15,6 +32,78 @@ from freelat.whitman import (
 
 G = GeneratorSet(("x", "y", "z"))
 X, Y, Z = G.terms()
+G4 = ("x", "y", "z", "w")
+
+_ORACLE: dict = {}
+
+
+def canonical_oracle(t):
+    """The node-building canonical form: each pass builds the whole node
+    to test promotions and a node of the rest for each absorption."""
+    if t.kind == GEN:
+        return t
+    r = _ORACLE.get(t)
+    if r is not None:
+        return r
+    kind = t.kind
+    other = MEET if kind == JOIN else JOIN
+    work = []
+    for o in t.ops:
+        c = canonical_oracle(o)
+        work.extend(c.ops if c.kind == kind else (c,))
+    work = sorted(set(work), key=term_key)
+    while True:
+        whole = _node(kind, tuple(work))
+        promoted = False
+        for i, o in enumerate(work):
+            if o.kind != other:
+                continue
+            for u in o.ops:
+                if leq(u, whole) if kind == JOIN else leq(whole, u):
+                    del work[i]
+                    work.extend(u.ops if u.kind == kind else (u,))
+                    work = sorted(set(work), key=term_key)
+                    promoted = True
+                    break
+            if promoted:
+                break
+        if promoted:
+            continue
+        dropped = False
+        if len(work) >= 2:
+            for i, o in enumerate(work):
+                rest = _node(kind, tuple(work[:i] + work[i + 1:]))
+                if leq(o, rest) if kind == JOIN else leq(rest, o):
+                    del work[i]
+                    dropped = True
+                    break
+        if not dropped:
+            break
+    r = _node(kind, tuple(work))
+    _ORACLE[t] = r
+    return r
+
+
+def ni_oracle(ts):
+    """ni_predicate against built joins and meets of the rest."""
+    for i, t in enumerate(ts):
+        rest = ts[:i] + ts[i + 1:]
+        if leq(t, join(*rest)) or leq(meet(*rest), t):
+            return True
+    return False
+
+
+def raw_terms(names):
+    return st.recursive(
+        st.sampled_from(names).map(gen),
+        lambda kids: st.builds(lambda ctor, ops: ctor(*ops),
+                               st.sampled_from((join, meet)),
+                               st.lists(kids, min_size=2, max_size=3)),
+        max_leaves=10)
+
+
+any_raw_terms = st.sampled_from((G.names, G4)).flatmap(
+    lambda names: st.tuples(st.just(names), raw_terms(names)))
 
 
 def t(src):
@@ -98,6 +187,60 @@ def test_canonical_stable_under_perturbation(rng):
         a = rand_term(rng, G.names, rng.randrange(5))
         b = perturb(rng, a, G.names)
         assert canonical_form(b) is canonical_form(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_raw_terms, st.randoms(use_true_random=False))
+def test_canonical_form_matches_node_building_oracle(named, rnd):
+    names, a = named
+    c = canonical_form(a)
+    assert c is canonical_oracle(a)
+    b = perturb(rnd, a, names)
+    assert canonical_form(b) is canonical_oracle(b) is c
+
+
+@pytest.mark.parametrize("names,max_size", [(G.names, 6), (G4, 4)])
+def test_canonical_form_matches_oracle_on_duals_of_enumerated_terms(names, max_size):
+    # duals of canonical forms need their operands re-sorted, and some
+    # need more than that
+    n = 0
+    for t in enumerate_terms(GeneratorSet(names), max_size):
+        d = dual_term(t)
+        assert canonical_form(d) is canonical_oracle(d), print_term(t)
+        n += 1
+    assert n == {6: 247, 4: 1640}[max_size]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(raw_terms(G4), min_size=2, max_size=4))
+def test_ni_predicate_matches_node_building_oracle(ts):
+    assert ni_predicate(ts) is ni_oracle(ts)
+
+
+def _subterms(t, out):
+    if t not in out:
+        out.add(t)
+        for o in t.ops:
+            _subterms(o, out)
+    return out
+
+
+def test_canonical_form_and_ni_predicate_build_no_throwaway_terms(rng):
+    raw = [rand_term(rng, G4, rng.randrange(1, 9)) for _ in range(400)]
+    start = len(terms._INTERN)
+    for a in raw:
+        canonical_form(a)
+    added = set(itertools.islice(terms._INTERN.values(), start, None))
+    subs = set()
+    for a in raw:
+        _subterms(a, subs)
+    forms = {canonical_form(s) for s in subs}
+    assert added and added <= forms, sorted(map(print_term, added - forms))
+    tuples = [raw[i:i + rng.randrange(2, 5)] for i in range(0, 390, 4)]
+    start = len(terms._INTERN)
+    hits = sum(ni_predicate(ts) for ts in tuples)
+    assert len(terms._INTERN) == start
+    assert 0 < hits < len(tuples)
 
 
 def test_ni_predicate():
