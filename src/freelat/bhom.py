@@ -12,13 +12,25 @@ of any other element is the join of beta over the join irreducibles
 below it.  alpha is the greatest preimage, obtained by running beta in
 the dual.  The kernel class of a is then the interval [beta(a),
 alpha(a)]; classes partition the free lattice when both sides exist.
+
+Maps on one target object with the same set of images share one image
+sublattice, kept on the target (finlat.generated_sublattice); a map's
+dual reads the dual of that sublattice instead of generating it again
+on the dual target.  Each map keeps its beta and alpha answers, at most
+one of each per image element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finlat import FiniteLattice, d_rank, join_irreducibles, minimal_join_covers
+from .finlat import (
+    FiniteLattice,
+    d_rank,
+    generated_sublattice,
+    join_irreducibles,
+    minimal_join_covers,
+)
 from .terms import GeneratorSet, Term, dual_term, evaluate, gen, join, meet
 from .whitman import canonical_form, leq
 
@@ -28,7 +40,8 @@ class NotBoundedError(ValueError):
 
 
 class Hom:
-    __slots__ = ("gens", "target", "images", "_sub", "_betas", "_dualh")
+    __slots__ = ("gens", "target", "images", "_sub", "_betas", "_dualh",
+                 "_lo", "_hi")
 
     def __init__(self, gens: GeneratorSet, target: FiniteLattice,
                  images: dict[str, int]):
@@ -47,6 +60,8 @@ class Hom:
         self._sub = None
         self._betas = None
         self._dualh = None
+        self._lo: dict[int, Term] = {}   # beta and alpha answers by element
+        self._hi: dict[int, Term] = {}
 
     def __repr__(self) -> str:
         ims = ", ".join(f"{n}={self.target.labels[self.images[n]]}"
@@ -58,30 +73,10 @@ class Hom:
 
     def image_sublattice(self) -> tuple[FiniteLattice, list[int], dict[int, int]]:
         """The sublattice generated by the images, its elements listed as
-        target indices, and the reverse index map."""
+        target indices, and the reverse index map; shared by every map on
+        the same target object with the same set of images."""
         if self._sub is None:
-            T = self.target
-            elems = set(self.images.values())
-            frontier = list(elems)
-            while frontier:
-                fresh = []
-                for a in list(elems):
-                    for b in frontier:
-                        for c in (T.joins[a][b], T.meets[a][b]):
-                            if c not in elems:
-                                elems.add(c)
-                                fresh.append(c)
-                frontier = fresh
-            to_target = sorted(elems)
-            up = []
-            for a in to_target:
-                row = 0
-                for j, b in enumerate(to_target):
-                    if T.leq(a, b):
-                        row |= 1 << j
-                up.append(row)
-            S = FiniteLattice(up, [T.labels[a] for a in to_target], T.name + ".im")
-            self._sub = (S, to_target, {a: i for i, a in enumerate(to_target)})
+            self._sub = generated_sublattice(self.target, self.images.values())
         return self._sub
 
     def dual(self) -> "Hom":
@@ -122,25 +117,31 @@ def _beta_tables(h: Hom) -> dict[int, Term]:
 
 def beta(h: Hom, a: int) -> Term:
     """Least term mapping to a, canonical; a must lie in the image sublattice."""
-    S, _, to_sub = h.image_sublattice()
-    if a not in to_sub:
-        raise ValueError(
-            f"{h.target.labels[a]!r} is not in the image sublattice of the hom")
-    tab = _beta_tables(h)
-    s = to_sub[a]
-    parts = [tab[q] for q in sorted(tab) if S.leq(q, s)]
-    if not parts:
-        return h.gens.bottom()
-    return canonical_form(join(*parts))
+    lo = h._lo.get(a)
+    if lo is None:
+        S, _, to_sub = h.image_sublattice()
+        if a not in to_sub:
+            raise ValueError(
+                f"{h.target.labels[a]!r} is not in the image sublattice of the hom")
+        tab = _beta_tables(h)
+        s = to_sub[a]
+        parts = [tab[q] for q in sorted(tab) if S.leq(q, s)]
+        lo = canonical_form(join(*parts)) if parts else h.gens.bottom()
+        h._lo[a] = lo
+    return lo
 
 
 def alpha(h: Hom, a: int) -> Term:
     """Greatest term mapping to a: beta of the dual, dualized back."""
-    try:
-        bd = beta(h.dual(), a)
-    except NotBoundedError:
-        raise NotBoundedError(f"hom onto {h.target.name} is not upper bounded") from None
-    return canonical_form(dual_term(bd))
+    hi = h._hi.get(a)
+    if hi is None:
+        try:
+            bd = beta(h.dual(), a)
+        except NotBoundedError:
+            raise NotBoundedError(
+                f"hom onto {h.target.name} is not upper bounded") from None
+        hi = h._hi[a] = canonical_form(dual_term(bd))
+    return hi
 
 
 def kernel_table(h: Hom) -> dict[int, tuple[Term, Term]]:
@@ -175,6 +176,7 @@ class Tower:
         for j, h in enumerate(self.stages):
             if h.gens.names != g.names:
                 raise ValueError(f"stage {j} uses different generators")
+        for j, h in enumerate(self.stages):
             if not is_lower_bounded(h):
                 raise NotBoundedError(f"stage {j} ({h.target.name}) is not lower bounded")
             if not is_upper_bounded(h):

@@ -268,27 +268,25 @@ def _cmd_hom(args) -> int:
     return 0
 
 
-def _tower(stages: list[str]) -> Tower:
+def _cmd_tower(args) -> int:
     homs = []
-    for st in stages:
+    for st in args.stage:
         lat_spec, _, map_spec = st.rpartition(":")
         if not lat_spec:
             raise UsageError(f"bad stage {st!r}; expected LAT:MAP")
         homs.append(_hom(lat_spec, map_spec))
+    G = homs[0].gens
+    classify = args.towercmd == "classify"
+    terms = [_term(src, G) for src in ([args.term] if classify else [args.s, args.t])]
+    if classify and len(homs) < 2:
+        raise UsageError("need at least two stages to judge stability")
     try:
-        return Tower(homs)
-    except (NotBoundedError, ValueError) as e:
-        raise UsageError(str(e)) from e
-
-
-def _cmd_tower(args) -> int:
-    tw = _tower(args.stage)
-    G = tw.stages[0].gens
-    if args.towercmd == "classify":
-        t = _term(args.term, G)
-        if len(tw.stages) < 2:
-            raise UsageError("need at least two stages to judge stability")
-        classes = stage_classes(tw, t)
+        tw = Tower(homs)
+    except NotBoundedError as e:   # a valid stage that has no kernel classes
+        print(str(e), file=sys.stderr)
+        return 1
+    if classify:
+        classes = stage_classes(tw, terms[0])
         for j, (lo, hi) in enumerate(classes):
             print(f"stage {j} lo={print_term(lo)} hi={print_term(hi)}")
         # stable: the last two stages agree on both endpoints
@@ -296,7 +294,7 @@ def _cmd_tower(args) -> int:
         note = "stable within tower" if stable else "still refining at the last stage"
         print(f"stable {'true' if stable else 'false'} note={note}")
         return 0 if stable else 1
-    print(compare_stages(tw, _term(args.s, G), _term(args.t, G)))
+    print(compare_stages(tw, *terms))
     return 0
 
 

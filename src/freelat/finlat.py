@@ -10,9 +10,10 @@ Join covers and the dependency rank rest on Day's D relation (A. Day,
 Canad. J. Math. 31, 1979): a join irreducible q != a lies in D(a) iff
 some x has a <= q+x but not a <= q_*+x, where q_* is the lower cover of
 q.  These q are exactly the members of the minimal nontrivial join
-covers of a.  Covers, irreducibles, D, the ranks and the dual are
-computed once per lattice object and kept on it, so the lists handed
-out are shared and must not be changed; no size is capped.
+covers of a.  Covers, irreducibles, D, the ranks, the dual and the
+sublattice generated by each set of elements asked about are computed
+once per lattice object and kept on it, so the lists handed out are
+shared and must not be changed; no size is capped.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class FinitePoset:
 
 
 class FiniteLattice(FinitePoset):
-    __slots__ = ("joins", "meets", "bottom", "top", "_jis", "_D", "_rank")
+    __slots__ = ("joins", "meets", "bottom", "top", "_jis", "_D", "_rank", "_subs")
 
     def __init__(self, up: Sequence[int], labels: Sequence[str] | None = None,
                  name: str = "L"):
@@ -148,6 +149,7 @@ class FiniteLattice(FinitePoset):
         self.bottom = self._least(full)
         self.top = self._greatest(full)
         self._jis = self._D = self._rank = None
+        self._subs = {}
 
     def _least(self, mask: int) -> int | None:
         for k in _bits(mask):
@@ -204,6 +206,46 @@ def join_irreducibles(L: FiniteLattice) -> list[int]:
     if L._jis is None:
         L._jis = [i for i in range(L.n) if len(L.lower_covers(i)) == 1]
     return L._jis
+
+
+def generated_sublattice(L: FiniteLattice, elems: Iterable[int]
+                         ) -> tuple[FiniteLattice, list[int], dict[int, int]]:
+    """The sublattice generated by elems, its elements listed as indices
+    of L in increasing order, and the reverse index map.
+
+    Kept on L per generating set.  When L's dual already holds the
+    sublattice of the same set, the answer is that sublattice's dual, so
+    the two sides share one object pair."""
+    key = frozenset(elems)
+    sub = L._subs.get(key)
+    if sub is None:
+        other = L._dual._subs.get(key) if L._dual is not None else None
+        if other is not None:
+            sub = (other[0].dual(), other[1], other[2])
+        else:
+            gen = set(key)
+            frontier = list(gen)
+            while frontier:
+                fresh = []
+                for a in list(gen):
+                    for b in frontier:
+                        for c in (L.joins[a][b], L.meets[a][b]):
+                            if c not in gen:
+                                gen.add(c)
+                                fresh.append(c)
+                frontier = fresh
+            to_L = sorted(gen)
+            up = []
+            for a in to_L:
+                row = 0
+                for j, b in enumerate(to_L):
+                    if L.leq(a, b):
+                        row |= 1 << j
+                up.append(row)
+            S = FiniteLattice(up, [L.labels[a] for a in to_L], L.name + ".im")
+            sub = (S, to_L, {a: i for i, a in enumerate(to_L)})
+        L._subs[key] = sub
+    return sub
 
 
 def check_W(L: FiniteLattice) -> tuple[bool, tuple[int, int, int, int] | None]:

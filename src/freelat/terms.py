@@ -207,20 +207,33 @@ def parse_term(text: str, gens: GeneratorSet) -> Term:
 
 
 def print_term(t: Term) -> str:
+    """The concrete syntax of t, kept on t.  The walk keeps an explicit
+    stack, so nesting depth is not bounded by Python's recursion limit;
+    it reuses the text kept on subterms printed before, and keeps only
+    t's own, so a deep term costs memory linear in its text."""
     s = t._printed
     if s is not None:
         return s
-    if t.kind == GEN:
-        s = t.name
-    elif t.kind == JOIN:
-        s = "+".join(
-            f"({print_term(o)})" if o.kind == JOIN else print_term(o) for o in t.ops
-        )
-    else:
-        s = "*".join(
-            print_term(o) if o.kind == GEN else f"({print_term(o)})" for o in t.ops
-        )
-    t._printed = s
+    out: list[str] = []
+    stack: list[Term | str] = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):
+            out.append(u)
+        elif u._printed is not None:
+            out.append(u._printed)
+        elif u.kind == GEN:
+            out.append(u.name)
+        else:
+            sep = "+" if u.kind == JOIN else "*"
+            items: list[Term | str] = []
+            for o in u.ops:
+                # a join's operand needs brackets when it is a join, a
+                # meet's when it is not a generator
+                bare = o.kind != JOIN if u.kind == JOIN else o.kind == GEN
+                items += (sep, o) if bare else (sep, "(", o, ")")
+            stack.extend(reversed(items[1:]))
+    s = t._printed = "".join(out)
     return s
 
 
@@ -269,20 +282,25 @@ def evaluate(t: Term, lattice, assignment: dict[str, int]) -> int:
 
 def dual_term(t: Term) -> Term:
     """Swap joins and meets.  The dual of a canonical form may need its
-    operands re-sorted; run it through canonical_form when that matters."""
+    operands re-sorted; run it through canonical_form when that matters.
+    The walk keeps an explicit stack, so any nesting depth is handled."""
     memo: dict[Term, Term] = {}
-
-    def go(u: Term) -> Term:
-        r = memo.get(u)
-        if r is None:
-            if u.kind == GEN:
-                r = u
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u in memo:
+            stack.pop()
+        elif u.kind == GEN:
+            memo[u] = stack.pop()
+        else:
+            todo = [o for o in u.ops if o not in memo]
+            if todo:
+                stack.extend(todo)
             else:
-                r = _node(MEET if u.kind == JOIN else JOIN, tuple(go(o) for o in u.ops))
-            memo[u] = r
-        return r
-
-    return go(t)
+                stack.pop()
+                memo[u] = _node(MEET if u.kind == JOIN else JOIN,
+                                tuple(memo[o] for o in u.ops))
+    return memo[t]
 
 
 def enumerate_terms(gens: GeneratorSet, max_size: int) -> Iterator[Term]:

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -25,7 +27,12 @@ from freelat.builders import (
     pentagon,
     pentagon_hom,
 )
-from freelat.finlat import d_rank, join_irreducibles, minimal_join_covers
+from freelat.finlat import (
+    FiniteLattice,
+    d_rank,
+    join_irreducibles,
+    minimal_join_covers,
+)
 from freelat.terms import GeneratorSet, gen, join, meet, parse_term, print_term
 from freelat.whitman import canonical_form, leq
 
@@ -137,6 +144,117 @@ def test_one_pass_beta_matches_iteration_on_every_catalog_map():
             assert all(got[q] is want[q] for q in want)
             bounded += 1
     assert (bounded, unbounded) == (1570, 12)
+
+
+def generation_oracle(h):
+    """Oracle: the generation loop each Hom ran on its own target before
+    image sublattices were shared per target and image set."""
+    T = h.target
+    elems = set(h.images.values())
+    frontier = list(elems)
+    while frontier:
+        fresh = []
+        for a in list(elems):
+            for b in frontier:
+                for c in (T.joins[a][b], T.meets[a][b]):
+                    if c not in elems:
+                        elems.add(c)
+                        fresh.append(c)
+        frontier = fresh
+    to_target = sorted(elems)
+    up = []
+    for a in to_target:
+        row = 0
+        for j, b in enumerate(to_target):
+            if T.leq(a, b):
+                row |= 1 << j
+        up.append(row)
+    S = FiniteLattice(up, [T.labels[a] for a in to_target], T.name + ".im")
+    return S, to_target, {a: i for i, a in enumerate(to_target)}
+
+
+def catalog_homs():
+    """doubled_hom, pentagon_hom and the 789 maps of x, y, z into the
+    catalog, the maps on one lattice sharing its object."""
+    homs = [doubled_hom(), pentagon_hom()]
+    for L in catalog():
+        for images in itertools.product(range(L.n), repeat=3):
+            homs.append(Hom(G, L, dict(zip(G.names, images))))
+    return homs
+
+
+def cold(h):
+    """The same map on a freshly built copy of its target, sharing nothing."""
+    T = h.target
+    return Hom(h.gens, FiniteLattice(T.up, T.labels, T.name), h.images)
+
+
+def answer(ask, h, a):
+    try:
+        return ask(h, a)
+    except NotBoundedError:
+        return None
+
+
+def test_shared_sublattices_and_answers_match_cold_maps():
+    unbounded = {"beta": 0, "alpha": 0}
+    for h in catalog_homs():
+        for side in (h, h.dual()):
+            S, to_target, to_sub = side.image_sublattice()
+            W, want_to_target, want_to_sub = generation_oracle(side)
+            assert (S.up, S.labels) == (W.up, W.labels)
+            assert (to_target, to_sub) == (want_to_target, want_to_sub)
+            # one fresh copy per question, so alpha's dual is generated cold
+            for ask in (beta, alpha):
+                ref = cold(side)
+                got = [answer(ask, side, a) for a in to_target]
+                assert all(g is answer(ask, ref, a) for g, a in zip(got, to_target))
+                assert all(g is answer(ask, side, a) for g, a in zip(got, to_target))
+                if side is h and None in got:
+                    assert set(got) == {None}
+                    unbounded[ask.__name__] += 1
+    assert unbounded == {"beta": 6, "alpha": 6}
+
+
+def test_maps_share_one_sublattice_per_target_and_image_set():
+    N5 = pentagon()
+    a, b, c = (N5.index_of(lbl) for lbl in "abc")
+    h = Hom(G, N5, {"x": c, "y": b, "z": a})
+    S = h.image_sublattice()[0]
+    assert Hom(G, N5, {"x": a, "y": c, "z": b}).image_sublattice()[0] is S
+    assert Hom(G, N5, {"x": a, "y": a, "z": b}).image_sublattice()[0] is not S
+    assert h.dual().image_sublattice()[0] is S.dual()
+    assert Hom(G, N5.dual(), h.images).image_sublattice()[0] is S.dual()
+    # the dual side first: the target side reads its dual back
+    M = m3()
+    k = Hom(G, M, {"x": M.bottom, "y": M.index_of("a"), "z": M.index_of("b")})
+    Sd = k.dual().image_sublattice()[0]
+    assert k.image_sublattice()[0] is Sd.dual()
+    # a separately built copy of the same lattice shares nothing
+    other = Hom(G, pentagon(), h.images)
+    assert other.image_sublattice()[0] is not S
+    assert other.dual().image_sublattice()[0] is not S.dual()
+
+
+class WeakTarget(FiniteLattice):
+    """A FiniteLattice that accepts weak references; its dual is one too."""
+
+
+def test_sublattices_and_answers_do_not_outlive_their_target():
+    N5 = pentagon()
+    L = WeakTarget(N5.up, N5.labels, N5.name)
+    ref, ref_dual = weakref.ref(L), weakref.ref(L.dual())
+    homs = [Hom(G, L, dict(zip(G.names, images)))
+            for images in itertools.product(range(L.n), repeat=3)]
+    asked = 0
+    for h in homs:
+        for a in h.image_sublattice()[1]:
+            asked += answer(beta, h, a) is not None
+            asked += answer(alpha, h, a) is not None
+    assert asked > 0 and L._subs
+    del L, N5, homs, h
+    gc.collect()
+    assert ref() is None and ref_dual() is None
 
 
 def test_image_sublattice():

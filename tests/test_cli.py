@@ -252,6 +252,25 @@ def test_tower_bad_stage(capsys):
     assert "need at least two stages" in capsys.readouterr().err
 
 
+def test_tower_unbounded_stage_exits_1(capsys):
+    m3 = ["--stage", "builtin:m3:x=a,y=b,z=c"]
+    fd3 = ["--stage", "builtin:fd3:x=x,y=y,z=z"]
+    assert run(["tower", "classify"] + m3 + fd3 + ["x"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "stage 0 (m3) is not lower bounded\n"
+    assert run(["tower", "compare"] + fd3 + m3 + ["x", "y"]) == 1
+    assert capsys.readouterr().err == "stage 1 (m3) is not lower bounded\n"
+    # input errors still come first
+    assert run(["tower", "classify"] + m3 + ["x"]) == 2
+    assert "need at least two stages" in capsys.readouterr().err
+    assert run(["tower", "compare"] + m3 + fd3 + ["x", "w"]) == 2
+    assert "unknown generator" in capsys.readouterr().err
+    two = ["--stage", "builtin:chain2:x=0,y=1"]
+    assert run(["tower", "compare"] + m3 + two + ["x", "y"]) == 2
+    assert "stage 1 uses different generators" in capsys.readouterr().err
+
+
 def test_idealdm_sd_fail(capsys):
     assert run(["idealdm", "sd-fail", "--budget", "2",
                 "--format", "records"]) == 0

@@ -158,6 +158,47 @@ def test_dual_term():
         assert dual_term(dual_term(t)) is t
 
 
+def recursive_print(t):
+    """Oracle: print_term as a plain recursion, keeping nothing."""
+    if t.kind == JOIN:
+        return "+".join(f"({recursive_print(o)})" if o.kind == JOIN
+                        else recursive_print(o) for o in t.ops)
+    if t.kind == MEET:
+        return "*".join(recursive_print(o) if o.kind == "gen"
+                        else f"({recursive_print(o)})" for o in t.ops)
+    return t.name
+
+
+def test_print_matches_recursive_printer(rng):
+    for _ in range(300):
+        t = rand_term(rng, G.names, rng.randrange(12))
+        if rng.random() < 0.3:
+            t = join(t, meet(X, Y, t), rand_term(rng, G.names, 3))
+        assert print_term(t) == recursive_print(t)
+
+
+def deep_term(levels):
+    """(..((x+y)*z+y)*z..) with `levels` join and meet nodes."""
+    t = X
+    for k in range(levels):
+        t = join(t, Y) if k % 2 == 0 else meet(t, Z)
+    return t
+
+
+def test_print_term_handles_10000_levels():
+    m = 5000
+    assert print_term(deep_term(2 * m)) == "(" * m + "x" + "+y)*z" * m
+
+
+def test_dual_term_handles_10000_levels():
+    m = 5000
+    t = deep_term(2 * m)
+    d = dual_term(t)
+    assert (d.kind, d.size) == (JOIN, 2 * m)
+    assert print_term(d) == "(" * (m - 1) + "x*y" + "+z)*y" * (m - 1) + "+z"
+    assert dual_term(d) is t
+
+
 def test_enumerate_counts_and_canonicity():
     counts = {}
     for t in enumerate_terms(G, 4):
