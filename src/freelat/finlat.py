@@ -213,27 +213,27 @@ def generated_sublattice(L: FiniteLattice, elems: Iterable[int]
     """The sublattice generated by elems, its elements listed as indices
     of L in increasing order, and the reverse index map.
 
-    Kept on L per generating set.  When L's dual already holds the
-    sublattice of the same set, the answer is that sublattice's dual, so
-    the two sides share one object pair."""
+    Kept on L per generating set and per generated set, so generating
+    sets with the same closure share one answer.  When L's dual already
+    holds the sublattice of the same set, the answer is that
+    sublattice's dual, so the two sides share one object pair."""
     key = frozenset(elems)
-    sub = L._subs.get(key)
+    sub = _held_sublattice(L, key)
     if sub is None:
-        other = L._dual._subs.get(key) if L._dual is not None else None
-        if other is not None:
-            sub = (other[0].dual(), other[1], other[2])
-        else:
-            gen = set(key)
-            frontier = list(gen)
-            while frontier:
-                fresh = []
-                for a in list(gen):
-                    for b in frontier:
-                        for c in (L.joins[a][b], L.meets[a][b]):
-                            if c not in gen:
-                                gen.add(c)
-                                fresh.append(c)
-                frontier = fresh
+        gen = set(key)
+        frontier = list(gen)
+        while frontier:
+            fresh = []
+            for a in list(gen):
+                for b in frontier:
+                    for c in (L.joins[a][b], L.meets[a][b]):
+                        if c not in gen:
+                            gen.add(c)
+                            fresh.append(c)
+            frontier = fresh
+        closed = frozenset(gen)
+        sub = _held_sublattice(L, closed)
+        if sub is None:
             to_L = sorted(gen)
             up = []
             for a in to_L:
@@ -243,8 +243,20 @@ def generated_sublattice(L: FiniteLattice, elems: Iterable[int]
                         row |= 1 << j
                 up.append(row)
             S = FiniteLattice(up, [L.labels[a] for a in to_L], L.name + ".im")
-            sub = (S, to_L, {a: i for i, a in enumerate(to_L)})
+            sub = L._subs[closed] = (S, to_L, {a: i for i, a in enumerate(to_L)})
         L._subs[key] = sub
+    return sub
+
+
+def _held_sublattice(L: FiniteLattice, key: frozenset[int]
+                     ) -> tuple[FiniteLattice, list[int], dict[int, int]] | None:
+    """The sublattice kept on L for key, else the dual of the one kept on
+    L's dual, which is then kept on L too."""
+    sub = L._subs.get(key)
+    if sub is None and L._dual is not None:
+        other = L._dual._subs.get(key)
+        if other is not None:
+            sub = L._subs[key] = (other[0].dual(), other[1], other[2])
     return sub
 
 

@@ -202,6 +202,7 @@ class _F3Search:
         self.pool = list(pool)
         idx = {t: i for i, t in enumerate(self.pool)}
         self.n = n = len(self.pool)
+        self.every = (1 << n) - 1
         self.kind = [t.kind for t in self.pool]
         self.ops = [tuple(idx[o] for o in t.ops) for t in self.pool]
         self.opmask = [sum(1 << o for o in ops) for ops in self.ops]
@@ -216,7 +217,6 @@ class _F3Search:
             self.below.append(
                 bit | functools.reduce(operator.and_, down) if kind == MEET
                 else self._down(bit | functools.reduce(operator.or_, down, 0)))
-        self._joins: dict[tuple[int, int], int] = {}
         # the dual search is passed in only when it builds this one
         self.dual = (_F3Search((dual_term(t) for t in self.pool), self)
                      if dual is None else dual)
@@ -232,86 +232,74 @@ class _F3Search:
                 col |= bit
         return col
 
-    def leq_join(self, a: int, mask: int) -> bool:
-        """pool[a] <= the join of the members in mask.
+    def leq_join_bits(self, a: int, mask: int) -> int:
+        """Bit c set iff pool[a] <= pool[c] + the join of the members in
+        mask, for every c at once.
 
-        True if pool[a] lies below a member.  Otherwise a generator is
-        not below, a join is below iff all its operands are, and a meet
-        iff one of its operands is.  This is exact by Whitman's
-        condition (W): every joinand of a member lies below that member,
-        so testing whole members is enough."""
-        if self.dual.below[a] & mask:
-            return True
+        All bits are set if pool[a] lies below a member, and bit c is
+        set if pool[a] lies below pool[c].  Otherwise a join is below iff
+        all its operands are, a meet iff one of its operands is, and a
+        generator is not.  This is exact by Whitman's condition (W):
+        every joinand of a member lies below that member, so testing
+        whole members is enough."""
+        above = self.dual.below[a]
+        if above & mask:
+            return self.every
         kind = self.kind[a]
         if kind == JOIN:
+            col = self.every
             for o in self.ops[a]:
-                if not self.leq_join(o, mask):
-                    return False
-            return True
+                col &= self.leq_join_bits(o, mask)
+            return col | above
         if kind == MEET:
             for o in self.ops[a]:
-                if self.leq_join(o, mask):
-                    return True
-        return False
+                above |= self.leq_join_bits(o, mask)
+        return above
 
-    def is_free(self, members: tuple[int, ...]) -> bool:
-        """The distinct pool terms in members are independent: none lies
-        below the join or above the meet of the others, so
-        whitman.ni_predicate is false on them."""
-        mask = 0
-        for q in members:
-            mask |= 1 << q
-        for q in members:
-            rest = mask ^ (1 << q)
-            if self.leq_join(q, rest) or self.dual.leq_join(q, rest):
-                return False
-        return True
+    def join_row(self, a: int) -> list[int]:
+        """Entry b has bit c set iff pool[b] <= pool[a] + pool[c]:
+        leq_join_bits(b, 1 << a) for every b at once, built in pool order
+        from the entries of b's operands, one step per entry."""
+        every, down = self.every, self.below[a]
+        row: list[int] = []
+        rows = zip(self.kind, self.ops, self.dual.below)
+        for b, (kind, ops, col) in enumerate(rows):
+            if down >> b & 1:
+                col = every
+            elif kind == JOIN:
+                more = every
+                for o in ops:
+                    more &= row[o]
+                col |= more
+            elif kind == MEET:
+                for o in ops:
+                    col |= row[o]
+            row.append(col)
+        return row
 
-    def below_join(self, i: int, j: int) -> int:
-        """Bit k set iff pool[k] <= pool[i] + pool[j]."""
-        key = (i, j) if i <= j else (j, i)
-        col = self._joins.get(key)
-        if col is None:
-            col = self._joins[key] = self._down(self.below[i] | self.below[j])
-        return col
+    def pair_tables(self) -> tuple[list[int], list[list[int]]]:
+        """(compat, bounded), from each term's join_row here and on dual.
 
-    def compatible(self) -> list[int]:
-        """compat[i] has bit j set iff pool[i] and pool[j] may sit in one
-        free tuple of four: they are incomparable, and their meet is not
-        the bottom nor their join the top (the other members would lie
-        above or below it)."""
-        n = self.n
-        gens = GeneratorSet(tuple(t.name for t in self.pool if t.kind == GEN))
-        every = (1 << gens.rank) - 1
-        keys = [key for _, key in _mask_keys(gens, self.pool)]
-        above = self.dual.below
-        compat = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if ((self.below[i] | above[i]) >> j) & 1:
-                    continue
-                if (keys[i][0] | keys[j][0] == every
-                        or keys[i][1] | keys[j][1] == every):
-                    continue
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-        return compat
+        compat[a] has bit b set iff pool[a] and pool[b] may sit in one
+        free tuple of four: they are incomparable, and their join is not
+        the top nor their meet the bottom (the other members would lie
+        below or above it).  A join is the top iff every generator lies
+        below it.
 
-    def quads_from(self, i: int, compat: list[int]):
-        """Quads i < j < k < l of pairwise compatible terms where no
-        member lies below the join or above the meet of two others: the
-        candidates left for is_free."""
-        bj, am = self.below_join, self.dual.below_join
-        ci = compat[i] >> (i + 1) << (i + 1)
-        for j in _bits(ci):
-            cij = ci & compat[j] & ~bj(i, j) & ~am(i, j)
-            cij = cij >> (j + 1) << (j + 1)
-            for k in _bits(cij):
-                cijk = (cij & compat[k] & ~bj(i, k) & ~am(i, k)
-                        & ~bj(j, k) & ~am(j, k))
-                cijk = cijk >> (k + 1) << (k + 1)
-                for l in _bits(cijk):
-                    yield i, j, k, l
+        bounded[a][b] has bit c set iff pool[b] lies under pool[a] +
+        pool[c] or over pool[a] * pool[c], so no free tuple holds all
+        three."""
+        gens = [g for g in range(self.n) if self.kind[g] == GEN]
+        every, compat, bounded = self.every, [], []
+        for a, (down, up) in enumerate(zip(self.below, self.dual.below)):
+            q, qd = self.join_row(a), self.dual.join_row(a)
+            top = functools.reduce(operator.and_, (q[g] for g in gens), every)
+            bottom = functools.reduce(operator.and_, (qd[g] for g in gens), every)
+            compat.append(every & ~(down | up | top | bottom))
+            # over half the entries are all ones: share that one object
+            bounded.append([every if (z := x | y) == every else z
+                            for x, y in zip(q, qd)])
+        return compat, bounded
 
 
 def _coverage_tables(pool: list[Term]) -> tuple[list[str], list[int]]:
@@ -358,36 +346,52 @@ def check_pi3_in_f3(max_size: int = 6,
                     budget_seconds: float | None = None) -> Report:
     """Every 4-tuple of canonical 3-generator terms (size <= max_size)
     that freely generates is covered by one of the nine interval unions.
-
-    The tuple search prunes with exact pairwise facts before the final
-    check: members of a free tuple are pairwise incomparable, no pair
-    may meet to the bottom or join to the top (the fourth member would
-    sit above or below it), and no member may sit under the join or over
-    the meet of two others.  Survivors are confirmed free by the direct
-    definition, so the pruning can only discard tuples that were never
-    free.  With a budget the clock is read at each first member and
-    every 256 tuples checked; a search cut short is inconclusive unless
-    a free tuple it found is uncovered.  A NaN or negative budget raises
-    ValueError."""
+    The search itself is _cover_free_quads.  A NaN or negative budget
+    raises ValueError."""
     _check_budget(budget_seconds)
     t0 = time.time()
     rep = Report("pi3-coverage-in-f3")
     rep.set("max_size", max_size)
-    S = _F3Search(enumerate_terms(_G3, max_size))
+    _cover_free_quads(rep, _F3Search(enumerate_terms(_G3, max_size)),
+                      t0, budget_seconds)
+    return rep
+
+
+# budget clock reads per (i, k, l) triple of the tuple search
+_TRIPLES_PER_READ = 256
+
+
+def _cover_free_quads(rep: Report, S: _F3Search, t0: float,
+                      budget_seconds: float | None) -> None:
+    """Find the free quads i < j < k < l of S's pool, classify each by
+    the first interval union covering it, and report into rep.
+
+    The search runs over triples (i, k, l) and takes the second member j
+    as a bit set.  Members of a free quad are pairwise compatible, and
+    none is bounded by two others (under their join or over their
+    meet), so the tables of S.pair_tables clear whole sets of j.  The
+    ordered pair filters (k not bounded by i and j, l by no two of i, j
+    and k) leave tuples_surviving_pair_filters.  The other pairwise
+    conditions, then leq_join_bits against the other three members,
+    clear the rest, so exactly the free quads are kept.
+
+    With a budget the clock is read at each first member and every
+    _TRIPLES_PER_READ triples; a search cut short is inconclusive unless
+    a free quad it found is uncovered."""
     n = S.n
     rep.set("terms", n)
     names, member = _coverage_tables(S.pool)
     unions = _union_checks(names)
-
-    compat = S.compatible()
+    compat, bounded = S.pair_tables()
     rep.set("compatible_pairs", sum(c.bit_count() for c in compat) // 2)
+    D = S.dual
 
-    # free tuples are classified as they are found and not kept: every
+    # free quads are classified as they are found and not kept: every
     # one is logged only when there are at most 200, else the uncovered
     union_hist = {nm: 0 for nm, _ in unions}
     first: list[tuple[tuple[int, ...], str | None]] = []
     uncovered = []
-    checked = free = 0
+    checked = free = triples = 0
 
     def out_of_time(i: int) -> bool:
         if budget_seconds is None or time.time() - t0 <= budget_seconds:
@@ -399,27 +403,64 @@ def check_pi3_in_f3(max_size: int = 6,
     for i in range(n):
         if stopped := out_of_time(i):
             break
-        for quad in S.quads_from(i, compat):
-            checked += 1
-            if S.is_free(quad):
-                free += 1
-                hit = next((nm for nm, umask in unions
-                            if all(member[q] & umask for q in quad)), None)
-                if hit is None:
-                    uncovered.append(quad)
-                else:
-                    union_hist[hit] += 1
-                if free <= 200:
-                    first.append((quad, hit))
-            # one first member can carry ~300k tuples at size 7
-            if not checked % 256 and (stopped := out_of_time(i)):
+        Pi = bounded[i]
+        ci = compat[i] >> (i + 1) << (i + 1)
+        for k in _bits(ci >> (i + 2) << (i + 2)):
+            Pk, cik = bounded[k], ci & compat[k]
+            # i < j < k, and k neither under i+j nor over i*j
+            js_k = cik & ~Pi[k] & ((1 << k) - 1)
+            if not js_k:
+                continue
+            # i under k+c or over k*c, or k under i+c or over i*c
+            not_ik = Pk[i] | Pi[k]
+            for l in _bits(cik >> (k + 1) << (k + 1)):
+                triples += 1
+                if not triples % _TRIPLES_PER_READ and (stopped := out_of_time(i)):
+                    break
+                if Pi[l] >> k & 1:
+                    continue
+                js = js_k & compat[l] & ~(Pi[l] | Pk[l])
+                if not js:
+                    continue
+                checked += js.bit_count()
+                if not_ik >> l & 1:
+                    continue
+                Pl = bounded[l]
+                js &= ~(not_ik | Pl[i] | Pl[k])
+                # j under or over the join or meet of two of i, k, l
+                kl = 1 << k | 1 << l
+                for j in _bits(js):
+                    if Pi[j] & kl or Pk[j] >> l & 1:
+                        js ^= 1 << j
+                if not js:
+                    continue
+                il, ik = 1 << i | 1 << l, 1 << i | 1 << k
+                js &= ~(S.leq_join_bits(i, kl) | D.leq_join_bits(i, kl)
+                        | S.leq_join_bits(k, il) | D.leq_join_bits(k, il)
+                        | S.leq_join_bits(l, ik) | D.leq_join_bits(l, ik))
+                ikl = ik | 1 << l
+                for j in _bits(js):
+                    if (S.leq_join_bits(j, ikl) | D.leq_join_bits(j, ikl)) & ikl:
+                        continue
+                    quad = (i, j, k, l)
+                    free += 1
+                    hit = next((nm for nm, umask in unions
+                                if all(member[q] & umask for q in quad)), None)
+                    if hit is None:
+                        uncovered.append(quad)
+                    else:
+                        union_hist[hit] += 1
+                    if free <= 200:
+                        first.append((quad, hit))
+            if stopped:
                 break
         if stopped:
             break
     rep.set("tuples_surviving_pair_filters", checked)
     rep.set("free_tuples", free)
+    # quads are found in (i, k, l, j) order; log them in (i, j, k, l) order
     logged = first if free <= 200 else [(q, None) for q in uncovered]
-    for quad, hit in logged:
+    for quad, hit in sorted(logged):
         rep.add_line(tuple=[print_term(S.pool[q]) for q in quad],
                      covered_by=hit or "none")
     for nm in union_hist:
@@ -427,7 +468,6 @@ def check_pi3_in_f3(max_size: int = 6,
     rep.set("uncovered", len(uncovered))
     rep.set("vacuous", not free)
     rep.status = FAIL if uncovered else INCONCLUSIVE if stopped else PASS
-    return rep
 
 
 _G4 = GeneratorSet(("x1", "x2", "x3", "x4"))
@@ -536,11 +576,14 @@ def search_pi3_in_f4(max_size: int = 4,
 
 
 def _term_names(t: Term, acc: set[str]) -> None:
-    if t.kind == GEN:
-        acc.add(t.name)
-    else:
-        for o in t.ops:
-            _term_names(o, acc)
+    """Add the generator names in t to acc.  The walk keeps an explicit
+    stack, so nesting depth is not bounded by Python's recursion limit."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u.kind == GEN:
+            acc.add(u.name)
+        stack.extend(u.ops)
 
 
 def separate_terms(s: Term, t: Term) -> Report:

@@ -236,6 +236,19 @@ def test_maps_share_one_sublattice_per_target_and_image_set():
     assert other.dual().image_sublattice()[0] is not S.dual()
 
 
+def test_image_sets_with_one_closure_share_one_sublattice():
+    N5 = pentagon()
+    a, b = N5.index_of("a"), N5.index_of("b")
+    S = Hom(G, N5, {"x": a, "y": b, "z": a}).image_sublattice()[0]
+    # {a, b} and {a, b, 1} both generate {0, a, b, 1}
+    assert S.labels == ["0", "a", "b", "1"]
+    assert Hom(G, N5, {"x": a, "y": b, "z": N5.top}).image_sublattice()[0] is S
+    # on the dual target, {a, b, 0} generates the same set
+    k = Hom(G, N5.dual(), {"x": a, "y": b, "z": N5.bottom})
+    assert k.image_sublattice()[0] is S.dual()
+    assert k.dual().image_sublattice()[0] is S
+
+
 class WeakTarget(FiniteLattice):
     """A FiniteLattice that accepts weak references; its dual is one too."""
 

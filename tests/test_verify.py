@@ -3,14 +3,20 @@ import random
 import types
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from freelat import verify
 from freelat.bhom import kernel_table
 from freelat.builders import doubled_hom
 from freelat.cli import run
-from freelat.reporting import FAIL, INCONCLUSIVE, PASS
+from freelat.finlat import _bits
+from freelat.reporting import FAIL, INCONCLUSIVE, PASS, Report
 from freelat.terms import (
     GEN,
+    JOIN,
+    MEET,
+    GeneratorSet,
     dual_term,
     enumerate_terms,
     gen,
@@ -22,9 +28,11 @@ from freelat.terms import (
 from freelat.verify import (
     _G3,
     _G4,
+    _cover_free_quads,
     _coverage_tables,
     _F3Search,
     _mask_keys,
+    _term_names,
     _triple_verdict,
     _union_checks,
     check_pi3_in_f3,
@@ -134,17 +142,74 @@ def test_below_matrix_agrees_with_leq():
 
 
 def test_join_meet_columns_agree_with_leq():
+    # join_row(a)[b] has bit c iff pool[b] <= pool[a] + pool[c]; on the
+    # dual search, iff pool[a] * pool[c] <= pool[b]
     S = _pool(4)
     rng = random.Random(SEED)
-    pairs = [(rng.randrange(S.n), rng.randrange(S.n)) for _ in range(60)]
-    for i, j in pairs:
-        bj = S.below_join(i, j)
-        am = S.dual.below_join(i, j)
-        tj = join(S.pool[i], S.pool[j])
-        tm = meet(S.pool[i], S.pool[j])
-        for k in range(S.n):
-            assert bool((bj >> k) & 1) == leq(S.pool[k], tj)
-            assert bool((am >> k) & 1) == leq(tm, S.pool[k])
+    for a in rng.sample(range(S.n), 12):
+        up, down = S.join_row(a), S.dual.join_row(a)
+        for b in range(S.n):
+            for c in range(S.n):
+                tj = join(S.pool[a], S.pool[c])
+                tm = meet(S.pool[a], S.pool[c])
+                assert bool((up[b] >> c) & 1) == leq(S.pool[b], tj)
+                assert bool((down[b] >> c) & 1) == leq(tm, S.pool[b])
+
+
+def _compatible(S):
+    """Oracle for the compat half of pair_tables: pairs of incomparable
+    terms whose generator keys do not join to the top or meet to the
+    bottom."""
+    gens = GeneratorSet(tuple(t.name for t in S.pool if t.kind == GEN))
+    every = (1 << gens.rank) - 1
+    keys = [key for _, key in _mask_keys(gens, S.pool)]
+    compat = [0] * S.n
+    for i, j in itertools.combinations(range(S.n), 2):
+        if ((S.below[i] | S.dual.below[i]) >> j) & 1:
+            continue
+        if keys[i][0] | keys[j][0] == every or keys[i][1] | keys[j][1] == every:
+            continue
+        compat[i] |= 1 << j
+        compat[j] |= 1 << i
+    return compat
+
+
+@pytest.mark.parametrize("max_size", [1, 3, 5])
+def test_pair_tables_match_rows_and_key_oracle(max_size):
+    S = _pool(max_size)
+    compat, bounded = S.pair_tables()
+    assert compat == _compatible(S)
+    for a in range(S.n):
+        assert bounded[a] == [x | y for x, y in zip(S.join_row(a), S.dual.join_row(a))]
+    if max_size == 5:
+        assert sum(c.bit_count() for c in compat) // 2 == 3108
+
+
+def test_leq_join_bits_agree_with_leq():
+    S = _pool(4)
+    rng = random.Random(SEED)
+    for _ in range(200):
+        a = rng.randrange(S.n)
+        members = rng.sample(range(S.n), rng.randint(1, 2))
+        mask = sum(1 << m for m in members)
+        ts = [S.pool[m] for m in members]
+        up, down = S.leq_join_bits(a, mask), S.dual.leq_join_bits(a, mask)
+        for c in range(S.n):
+            assert bool((up >> c) & 1) == leq(S.pool[a], join(S.pool[c], *ts))
+            assert bool((down >> c) & 1) == leq(meet(S.pool[c], *ts), S.pool[a])
+
+
+def _leq_join(S, a, mask):
+    """Oracle: pool[a] <= the join of the members in mask, by Whitman's
+    recursion with a truth value: below a member, or a join with all
+    operands below, or a meet with one operand below."""
+    if S.dual.below[a] & mask:
+        return True
+    if S.kind[a] == JOIN:
+        return all(_leq_join(S, o, mask) for o in S.ops[a])
+    if S.kind[a] == MEET:
+        return any(_leq_join(S, o, mask) for o in S.ops[a])
+    return False
 
 
 def test_leq_join_and_dual_leq_join_agree_with_leq():
@@ -155,20 +220,134 @@ def test_leq_join_and_dual_leq_join_agree_with_leq():
         members = rng.sample(range(S.n), rng.randint(1, 3))
         mask = sum(1 << m for m in members)
         ts = [S.pool[m] for m in members]
-        assert S.leq_join(a, mask) == leq(S.pool[a], join(*ts))
-        assert S.dual.leq_join(a, mask) == leq(meet(*ts), S.pool[a])
+        up, down = leq(S.pool[a], join(*ts)), leq(meet(*ts), S.pool[a])
+        assert (_leq_join(S, a, mask), _leq_join(S.dual, a, mask)) == (up, down)
+        # the kernel's form: a member c of mask adds nothing to the join
+        assert bool(S.leq_join_bits(a, mask) & mask) == up
+        assert bool(S.dual.leq_join_bits(a, mask) & mask) == down
+
+
+def _is_free(S, members):
+    """Oracle: the distinct pool terms in members are independent, none
+    below the join or above the meet of the others."""
+    mask = sum(1 << q for q in members)
+    return not any(_leq_join(S, q, mask ^ (1 << q))
+                   or _leq_join(S.dual, q, mask ^ (1 << q)) for q in members)
+
+
+def _oracle_quads(S):
+    """Oracle: the per-quad search the join tables replaced.  Quads i < j
+    < k < l of pairwise compatible terms where no member lies below the
+    join or above the meet of two earlier ones, in (i, j, k, l) order,
+    each pair's join and meet closed by Whitman's recursion."""
+    compat = _compatible(S)
+    memo = {}
+
+    def below_join(T, i, j):
+        key = (T is S, min(i, j), max(i, j))
+        if key not in memo:
+            memo[key] = T._down(T.below[i] | T.below[j])
+        return memo[key]
+
+    def pair(i, j):
+        return below_join(S, i, j) | below_join(S.dual, i, j)
+
+    for i in range(S.n):
+        ci = compat[i] >> (i + 1) << (i + 1)
+        for j in _bits(ci):
+            cij = ci & compat[j] & ~pair(i, j)
+            cij = cij >> (j + 1) << (j + 1)
+            for k in _bits(cij):
+                cijk = cij & compat[k] & ~pair(i, k) & ~pair(j, k)
+                for l in _bits(cijk >> (k + 1) << (k + 1)):
+                    yield i, j, k, l
+
+
+def _oracle_report(S):
+    """The coverage report as the per-quad search wrote it: every quad
+    of _oracle_quads confirmed by _is_free, logged in the order found."""
+    rep = Report("pi3-coverage-in-f3")
+    rep.set("terms", S.n)
+    names, member = _coverage_tables(S.pool)
+    unions = _union_checks(names)
+    rep.set("compatible_pairs", sum(c.bit_count() for c in _compatible(S)) // 2)
+    hist = {nm: 0 for nm, _ in unions}
+    first, uncovered, checked, free = [], [], 0, 0
+    for quad in _oracle_quads(S):
+        checked += 1
+        if _is_free(S, quad):
+            free += 1
+            hit = next((nm for nm, umask in unions
+                        if all(member[q] & umask for q in quad)), None)
+            if hit is None:
+                uncovered.append(quad)
+            else:
+                hist[hit] += 1
+            if free <= 200:
+                first.append((quad, hit))
+    rep.set("tuples_surviving_pair_filters", checked)
+    rep.set("free_tuples", free)
+    for quad, hit in first if free <= 200 else [(q, None) for q in uncovered]:
+        rep.add_line(tuple=[print_term(S.pool[q]) for q in quad],
+                     covered_by=hit or "none")
+    for nm in hist:
+        rep.set(f"covered_by_{nm}", hist[nm])
+    rep.set("uncovered", len(uncovered))
+    rep.set("vacuous", not free)
+    rep.status = FAIL if uncovered else PASS
+    return rep
+
+
+def _kernel_report(S):
+    rep = Report("pi3-coverage-in-f3")
+    _cover_free_quads(rep, S, 0.0, None)
+    return rep
+
+
+@pytest.mark.parametrize("max_size", [1, 2, 3, 4, 5])
+def test_cover_kernel_matches_per_quad_oracle(max_size):
+    S = _pool(max_size)
+    got, want = _kernel_report(S), _oracle_report(S)
+    for key in ("tuples_surviving_pair_filters", "free_tuples", "uncovered"):
+        assert got.data[key] == want.data[key], key
+    assert got.records() == want.records()
+    if max_size == 5:
+        assert (got.data["tuples_surviving_pair_filters"],
+                got.data["free_tuples"]) == (44589, 1023)
+
+
+_POOL5 = list(enumerate_terms(_G3, 5))
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sets(st.integers(3, len(_POOL5) - 1), min_size=40, max_size=70))
+def test_cover_kernel_matches_oracle_on_operand_closed_sub_pools(picks):
+    # the generators, the picked terms and every operand below them, in
+    # the size-5 pool's order
+    keep = set(_POOL5[:3])
+    stack = [_POOL5[p] for p in picks]
+    while stack:
+        t = stack.pop()
+        if t not in keep:
+            keep.add(t)
+            stack.extend(t.ops)
+    S = _F3Search(t for t in _POOL5 if t in keep)
+    got, want = _kernel_report(S), _oracle_report(S)
+    if want.data["free_tuples"] <= 200:
+        # every free quad is logged, so the lines are compared in order
+        assert len(want.lines) == want.data["free_tuples"]
+    assert got.records() == want.records()
 
 
 def test_is_free_agrees_with_ni_predicate_on_size_five_survivors():
     S = _pool(5)
-    compat = S.compatible()
     checked = free = 0
-    for i in range(S.n):
-        for quad in S.quads_from(i, compat):
-            got = S.is_free(quad)
-            assert got == (not ni_predicate([S.pool[q] for q in quad])), quad
-            checked += 1
-            free += got
+    for quad in _oracle_quads(S):
+        got = _is_free(S, quad)
+        assert got == (not ni_predicate([S.pool[q] for q in quad])), quad
+        checked += 1
+        free += got
     assert (checked, free) == (44589, 1023)
 
 
@@ -184,7 +363,7 @@ def test_is_free_agrees_with_ni_predicate_on_random_quads():
             if near:
                 quad[3] = rng.choice([k for k in range(S.n) if (near >> k) & 1])
                 comparable += 1
-        assert S.is_free(tuple(quad)) == (
+        assert _is_free(S, tuple(quad)) == (
             not ni_predicate([S.pool[q] for q in quad])), quad
     assert comparable > 500
 
@@ -226,16 +405,18 @@ def test_f3_budget_stops_early():
 
 
 def test_f3_budget_is_read_inside_a_first_member(monkeypatch):
-    # a fake clock that runs out right after the search reads it at the
-    # start of term 0, whose 827 surviving tuples would otherwise all be
-    # checked before the next read
+    # a fake clock that runs out after the search has read it at the
+    # start of term 0 and after its first 256 (i, k, l) triples: the
+    # next read, after 512 triples, stops the search with 127 of term
+    # 0's 827 surviving tuples counted
+    assert verify._TRIPLES_PER_READ == 256
     reads = itertools.count()
-    fake = types.SimpleNamespace(time=lambda: 0.0 if next(reads) < 2 else 1e9)
+    fake = types.SimpleNamespace(time=lambda: 0.0 if next(reads) < 3 else 1e9)
     monkeypatch.setattr(verify, "time", fake)
     rep = check_pi3_in_f3(5, budget_seconds=5.0)
     assert rep.status == INCONCLUSIVE
     assert rep.data["stopped"] == "during tuple search at term 0 of 121"
-    assert rep.data["tuples_surviving_pair_filters"] == 256
+    assert rep.data["tuples_surviving_pair_filters"] == 127
 
 
 def test_f3_size_five_counts():
@@ -459,3 +640,12 @@ def test_below_matrix_standalone():
         for k in range(len(pool)):
             assert bool((S.below[i] >> k) & 1) == leq(pool[k], pool[i])
             assert bool((S.dual.below[i] >> k) & 1) == leq(pool[i], pool[k])
+
+
+def test_term_names_handles_10000_levels():
+    t = gen("x")
+    for k in range(10000):
+        t = join(t, gen("y")) if k % 2 == 0 else meet(t, gen("z"))
+    names = set()
+    _term_names(t, names)
+    assert names == {"x", "y", "z"}
