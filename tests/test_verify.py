@@ -602,7 +602,6 @@ def test_separate_medians():
 
 
 def test_separate_other_generator_names():
-    from freelat.terms import GeneratorSet
     G = GeneratorSet(("a", "b"))
     s = canonical_form(parse_term("a", G))
     t = canonical_form(parse_term("a+b", G))
