@@ -9,6 +9,16 @@ Each term carries precomputed structural measures:
 
   size    number of join/meet nodes
   adepth  maximum number of join/meet alternations on a root-to-leaf path
+  down    the generators below the term in the free lattice, as a bitmask
+  up      the generators above it, likewise
+
+Each generator gets its own bit, the next free one, when it is first
+interned, so the bit order is interning order, not the order of any
+GeneratorSet.  Generators of a free lattice are join- and meet-prime
+(Whitman), so the key (down, up) is compositional: a join has the OR of
+its operands' down and the AND of their up, a meet the AND of down and
+the OR of up.  s <= t forces s.down within t.down and t.up within s.up;
+whitman.leq uses that as an exact filter.
 
 The concrete syntax is `+` for join and `*` for meet, with `*` binding
 tighter and juxtaposition of single-letter generators meaning meet, so
@@ -17,6 +27,7 @@ tighter and juxtaposition of single-letter generators meaning meet, so
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -29,7 +40,7 @@ _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 
 class Term:
-    __slots__ = ("kind", "name", "ops", "size", "adepth", "_printed")
+    __slots__ = ("kind", "name", "ops", "size", "adepth", "down", "up", "_printed")
 
     kind: str
     name: str | None
@@ -43,6 +54,7 @@ class Term:
 
 
 _INTERN: dict[tuple, Term] = {}
+_GEN_BITS = itertools.count()   # bit index of the next new generator
 
 
 def _make(kind: str, name: str | None, ops: tuple[Term, ...]) -> Term:
@@ -57,13 +69,31 @@ def _make(kind: str, name: str | None, ops: tuple[Term, ...]) -> Term:
     if kind == GEN:
         t.size = 0
         t.adepth = 0
+        t.down = t.up = 1 << next(_GEN_BITS)
     else:
         t.size = 1 + sum(o.size for o in ops)
         # a same-kind operand continues this node's run: no new alternation
         t.adepth = 1 + max(o.adepth - (o.kind == kind) for o in ops)
+        t.down, t.up = node_key(kind, ops)
     t._printed = None
     _INTERN[key] = t
     return t
+
+
+def node_key(kind: str, ops: tuple[Term, ...]) -> tuple[int, int]:
+    """The key (down, up) of the join (kind JOIN) or meet of ops, which
+    need not be built: OR over a join's down and a meet's up, AND over
+    the other."""
+    d, u = ops[0].down, ops[0].up
+    if kind == JOIN:
+        for o in ops:
+            d |= o.down
+            u &= o.up
+    else:
+        for o in ops:
+            d &= o.down
+            u |= o.up
+    return d, u
 
 
 def gen(name: str) -> Term:
@@ -242,21 +272,29 @@ def term_key(t: Term) -> tuple[int, int, str]:
 
 
 def substitute(t: Term, assignment: dict[str, Term]) -> Term:
+    """t with each generator replaced by its image in assignment.  The
+    walk keeps an explicit stack, so any nesting depth is handled; it
+    visits operands left to right, so the first generator without an
+    image is the one named in the error."""
     memo: dict[Term, Term] = {}
-
-    def go(u: Term) -> Term:
-        r = memo.get(u)
-        if r is None:
-            if u.kind == GEN:
-                r = assignment.get(u.name)
-                if r is None:
-                    raise ValueError(f"no image for generator {u.name!r}")
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u in memo:
+            stack.pop()
+        elif u.kind == GEN:
+            r = assignment.get(u.name)
+            if r is None:
+                raise ValueError(f"no image for generator {u.name!r}")
+            memo[stack.pop()] = r
+        else:
+            todo = [o for o in u.ops if o not in memo]
+            if todo:
+                stack.extend(reversed(todo))
             else:
-                r = _node(u.kind, tuple(go(o) for o in u.ops))
-            memo[u] = r
-        return r
-
-    return go(t)
+                stack.pop()
+                memo[u] = _node(u.kind, tuple(memo[o] for o in u.ops))
+    return memo[t]
 
 
 def evaluate(t: Term, lattice, assignment: dict[str, int]) -> int:
@@ -314,47 +352,71 @@ def enumerate_terms(gens: GeneratorSet, max_size: int) -> Iterator[Term]:
     antichain and no meetand of an operand lies below the whole join.
     _size_combos skips comparable picks as it goes, whitman.promotion
     checks the second condition against the operand tuple, and only the
-    kept terms are built."""
+    kept terms are built.
+
+    Each operand pool stays sorted by term_key with no re-sort: the
+    fresh terms of a size are sorted, and each size is larger than every
+    term already pooled.  Beside pool[i], comp[i] has bit j set iff j < i
+    and pool[j] is comparable with pool[i].  It is computed once, when
+    pool[i] joins the pool, and only against pool terms small enough to
+    share a candidate with it; no larger chosen operand can occur beside
+    pool[i], so the antichain test of a pick is comp[i] & chosen.  The
+    fresh terms of the last size join no pool."""
     # imported here because whitman imports this module
     from .whitman import leq, promotion
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
     base = sorted(gens.terms(), key=term_key)
     yield from base
-    # operands of a canonical join are canonical gens and meets, and dually
-    join_pool: list[Term] = list(base)   # usable inside meets
-    meet_pool: list[Term] = list(base)   # usable inside joins
+    # node kind -> (pool, comp) of its possible operands: gens and meets
+    # for a join, gens and joins for a meet
+    feeds: dict[str, tuple[list[Term], list[int]]] = {JOIN: ([], []), MEET: ([], [])}
+
+    def grow(pool: list[Term], comp: list[int], t: Term) -> None:
+        limit = max_size - 1 - t.size
+        mask = 0
+        for j, o in enumerate(pool):
+            if o.size > limit:
+                break
+            if leq(o, t) or leq(t, o):
+                mask |= 1 << j
+        pool.append(t)
+        comp.append(mask)
+
+    for t in base:
+        for pool, comp in feeds.values():
+            grow(pool, comp, t)
     for s in range(1, max_size + 1):
         fresh: list[Term] = []
-        for kind, pool in ((JOIN, meet_pool), (MEET, join_pool)):
-            for ops in _size_combos(pool, s - 1, leq):
+        for kind, (pool, comp) in feeds.items():
+            for ops in _size_combos(pool, s - 1, comp):
                 if promotion(kind, ops) is None:
                     fresh.append(_make(kind, None, ops))
         fresh.sort(key=term_key)
         yield from fresh
-        for t in fresh:
-            (join_pool if t.kind == JOIN else meet_pool).append(t)
-        join_pool.sort(key=term_key)
-        meet_pool.sort(key=term_key)
+        if s < max_size:
+            for t in fresh:
+                grow(*feeds[MEET if t.kind == JOIN else JOIN], t)
 
 
-def _size_combos(pool: list[Term], budget: int, leq) -> Iterator[tuple[Term, ...]]:
+def _size_combos(pool: list[Term], budget: int,
+                 comp: list[int]) -> Iterator[tuple[Term, ...]]:
     # strictly increasing picks from a key-sorted pool, sizes summing to
-    # budget, no pick comparable under leq to one already chosen
+    # budget, no pick whose comp mask meets the picks already chosen
     out: list[Term] = []
 
-    def rec(start: int, left: int) -> Iterator[tuple[Term, ...]]:
+    def rec(start: int, left: int, chosen: int) -> Iterator[tuple[Term, ...]]:
         for i in range(start, len(pool)):
             t = pool[i]
             if t.size > left:
                 break  # pool is size-sorted
-            if any(leq(o, t) or leq(t, o) for o in out):
+            if comp[i] & chosen:
                 continue
             out.append(t)
             rest = left - t.size
             if rest == 0 and len(out) >= 2:
                 yield tuple(out)
-            yield from rec(i + 1, rest)
+            yield from rec(i + 1, rest, chosen | 1 << i)
             out.pop()
 
-    yield from rec(0, budget)
+    yield from rec(0, budget, 0)

@@ -168,19 +168,19 @@ def verify_figure3() -> Report:
 def _mask_keys(gens: GeneratorSet,
                terms: Iterable[Term]) -> Iterator[tuple[Term, tuple[int, int]]]:
     """Each term over gens with its key (D, U), the generators below and
-    above it as bits in gens order, built from the keys of its operands,
-    which must come first.  Generators of a free lattice are join- and
-    meet-prime (Whitman), so generator k has key (1<<k, 1<<k), a join
-    the OR of its operands' D and the AND of their U, and a meet the AND
-    of D and the OR of U."""
-    mask = {g: (1 << k, 1 << k) for k, g in enumerate(gens.terms())}
+    above it as bits in gens order: the key each term carries (see
+    terms), with its bits moved from interning order to gens order."""
+    bits = [(g.down, 1 << k) for k, g in enumerate(gens.terms())]
+    local: dict[int, int] = {}
+
+    def remap(m: int) -> int:
+        r = local.get(m)
+        if r is None:
+            r = local[m] = sum(b for g, b in bits if m & g)
+        return r
+
     for t in terms:
-        if t.kind != GEN:
-            dn, up = zip(*(mask[o] for o in t.ops))
-            dop, uop = ((operator.or_, operator.and_) if t.kind == JOIN
-                        else (operator.and_, operator.or_))
-            mask[t] = (functools.reduce(dop, dn), functools.reduce(uop, up))
-        yield t, mask[t]
+        yield t, (remap(t.down), remap(t.up))
 
 
 class _F3Search:
@@ -520,9 +520,9 @@ def search_pi3_in_f4(max_size: int = 4,
     pool triple falls in a scanned class, so the class scan and the full
     scan return identical verdicts.
 
-    A term's mask key (D, U), the generators below and above it, is built
-    by _mask_keys from its operands' keys, which enumeration yields
-    first.  A NaN or negative budget raises ValueError."""
+    A term's mask key (D, U), the generators below and above it, is read
+    off the term by _mask_keys.  A NaN or negative budget raises
+    ValueError."""
     _check_budget(budget_seconds)
     t0 = time.time()
     rep = Report("pi3-search-in-f4")

@@ -8,6 +8,16 @@ join or the whole meet is below some joinand.  Generators are below each
 other only if identical.  Results are memoized for the process lifetime,
 keyed on interned term identity.
 
+Before the memo is consulted, leq rules a pair out by the generator keys
+the terms carry (terms: down, the generators below a term, and up, those
+above).  In a free lattice every generator is join- and meet-prime, so
+the key of a term is exactly the set of generators below and above it,
+and s <= t forces s.down within t.down and t.up within s.up; a pair that
+fails this is not in the order, so the filter changes no answer, only
+the recursion and the memo shrink.  _under (and so promotion and
+ni_predicate) applies the same filter to each operand it tests, against
+the key of the whole join or meet, computed once per call by node_key.
+
 canonical_form rewrites a term to the shortest join-of-meets/meet-of-joins
 normal form (Whitman; Freese, Ježek and Nation, Free Lattices, Thm 1.18):
 operands canonicalized first and same-kind nesting flattened; then,
@@ -39,6 +49,7 @@ from .terms import (
     _node,
     enumerate_terms,
     gen,
+    node_key,
     substitute,
     term_key,
 )
@@ -49,6 +60,8 @@ _LEQ: dict[tuple[Term, Term], bool] = {}
 def leq(s: Term, t: Term) -> bool:
     if s is t:
         return True
+    if s.down & ~t.down or t.up & ~s.up:
+        return False
     key = (s, t)
     r = _LEQ.get(key)
     if r is None:
@@ -109,23 +122,27 @@ def canonical_form(t: Term) -> Term:
     return r
 
 
-def _under(u: Term, kind: str, ops: tuple[Term, ...]) -> bool:
-    # u <= join(*ops) for kind JOIN, meet(*ops) <= u for kind MEET
+def _under(u: Term, kind: str, ops: tuple[Term, ...], down: int, up: int) -> bool:
+    # u <= join(*ops) for kind JOIN, meet(*ops) <= u for kind MEET, where
+    # (down, up) is the key of that whole join or meet
+    if (u.down & ~down or up & ~u.up) if kind == JOIN else (down & ~u.down or u.up & ~up):
+        return False
     if u.kind == kind:
-        return all(_under(o, kind, ops) for o in u.ops)
+        return all(_under(o, kind, ops, down, up) for o in u.ops)
     if any(leq(u, o) if kind == JOIN else leq(o, u) for o in ops):
         return True
     # (W) for a meet below a join, dually
-    return u.kind != GEN and any(_under(o, kind, ops) for o in u.ops)
+    return u.kind != GEN and any(_under(o, kind, ops, down, up) for o in u.ops)
 
 
 def promotion(kind: str, ops: tuple[Term, ...]) -> tuple[Term, Term] | None:
     """First (o, u) with o in ops and u an operand of o lying below the
     whole join (above the whole meet) of ops, else None.  The ops are
     gens and terms of the other kind."""
+    down, up = node_key(kind, ops)
     for o in ops:
         for u in o.ops:
-            if _under(u, kind, ops):
+            if _under(u, kind, ops, down, up):
                 return o, u
     return None
 
@@ -137,7 +154,8 @@ def ni_predicate(terms: Sequence[Term]) -> bool:
         raise ValueError("need at least two terms")
     for i, t in enumerate(ts):
         rest = ts[:i] + ts[i + 1:]
-        if _under(t, JOIN, rest) or _under(t, MEET, rest):
+        if (_under(t, JOIN, rest, *node_key(JOIN, rest))
+                or _under(t, MEET, rest, *node_key(MEET, rest))):
             return True
     return False
 

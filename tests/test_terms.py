@@ -135,7 +135,7 @@ def test_substitute():
     t = parse_term("x(y+z)", G)
     s = substitute(t, {"x": Y, "y": Y, "z": meet(X, Z)})
     assert print_term(s) == "y*(y+x*z)"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'y'"):
         substitute(t, {"x": Y})
 
 
@@ -199,6 +199,17 @@ def test_dual_term_handles_10000_levels():
     assert dual_term(d) is t
 
 
+def test_substitute_handles_10000_levels():
+    m = 5000
+    t = deep_term(2 * m)
+    s = substitute(t, {"x": Y, "y": X, "z": Z})
+    assert (s.kind, s.size) == (MEET, 2 * m)
+    assert print_term(s) == "(" * m + "y" + "+x)*z" * m
+    assert substitute(s, {"x": Y, "y": X, "z": Z}) is t
+    with pytest.raises(ValueError, match="'z'"):
+        substitute(t, {"x": X, "y": Y})
+
+
 def test_enumerate_counts_and_canonicity():
     counts = {}
     for t in enumerate_terms(G, 4):
@@ -243,7 +254,7 @@ def _filtered_enumeration(gens, max_size):
     for s in range(1, max_size + 1):
         fresh = []
         for kind in (JOIN, MEET):
-            for ops in _size_combos(pools[kind], s - 1, lambda a, b: False):
+            for ops in _size_combos(pools[kind], s - 1, [0] * len(pools[kind])):
                 t = join(*ops) if kind == JOIN else meet(*ops)
                 ok = canonical_form(t) is t
                 candidates.append((kind, ops, ok))

@@ -465,6 +465,20 @@ def test_shared_mask_keys_match_f3_below_above_bits():
     assert len(keys) == 121
 
 
+def test_key_closure_matches_enumerated_keys():
+    # the keys realised in F4: generator keys closed under the join and
+    # meet key operations, round by round
+    keys = {(1 << k, 1 << k) for k in range(4)}
+    sizes = [len(keys)]
+    while len(sizes) < 2 or sizes[-1] != sizes[-2]:
+        keys |= {op for (d1, u1), (d2, u2) in itertools.product(keys, repeat=2)
+                 for op in ((d1 | d2, u1 & u2), (d1 & d2, u1 | u2))}
+        sizes.append(len(keys))
+    assert sizes == [4, 16, 35, 35]
+    for max_size in (4, 5):
+        assert {key for _, key in _mask_keys(_G4, enumerate_terms(_G4, max_size))} == keys
+
+
 def test_mask_key_basics():
     g4 = _G4.terms()
     x1, x2, x3, x4 = g4

@@ -28,6 +28,7 @@ from freelat.whitman import (
     generates_free,
     leq,
     ni_predicate,
+    promotion,
 )
 
 G = GeneratorSet(("x", "y", "z"))
@@ -279,3 +280,71 @@ def test_fixed_point_search():
     from freelat.terms import substitute
     assert equal(substitute(p, amap), w)
     assert print_term(w) == "x*z"
+
+
+# Two generator sets interned interleaved, the second in reverse, so the
+# generator bits of the term keys follow neither set's order.
+KEY_SETS = (("ka", "kb", "kc", "kd"), ("ra", "rb", "rc"))
+for _name in ("ka", "rc", "kb", "rb", "kc", "ra", "kd"):
+    gen(_name)
+
+
+def whitman_leq(s, t):
+    """Oracle: Whitman's recursion for s <= t, with no memo and no key
+    filter."""
+    if s.kind == JOIN:
+        return all(whitman_leq(o, t) for o in s.ops)
+    if t.kind == MEET:
+        return all(whitman_leq(s, o) for o in t.ops)
+    if s.kind == GEN:
+        return s is t if t.kind == GEN else any(whitman_leq(s, o) for o in t.ops)
+    if t.kind == GEN:
+        return any(whitman_leq(o, t) for o in s.ops)
+    return (any(whitman_leq(o, t) for o in s.ops)
+            or any(whitman_leq(s, o) for o in t.ops))
+
+
+def under_oracle(u, kind, ops):
+    """Oracle for whitman._under: u below the built join of ops (kind
+    JOIN), or the built meet of ops below u, by whitman_leq."""
+    return (whitman_leq(u, join(*ops)) if kind == JOIN
+            else whitman_leq(meet(*ops), u))
+
+
+keyed_terms = st.sampled_from(KEY_SETS).flatmap(
+    lambda names: st.tuples(st.just(names), st.lists(raw_terms(names),
+                                                     min_size=2, max_size=4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(keyed_terms)
+def test_term_key_is_the_generators_below_and_above(named):
+    names, ts = named
+    gens = [gen(n) for n in names]
+    for t in ts + [canonical_form(t) for t in ts]:
+        assert t.down == sum(g.down for g in gens if whitman_leq(g, t))
+        assert t.up == sum(g.up for g in gens if whitman_leq(t, g))
+    assert all(g.down == g.up and g.down.bit_count() == 1 for g in gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(keyed_terms)
+def test_leq_matches_filter_free_recursion(named):
+    _, ts = named
+    s, t = ts[0], ts[1]
+    pairs = [(s, t), (t, s), (meet(s, t), join(*ts[1:])),
+             (canonical_form(meet(*ts)), canonical_form(t))]
+    pairs += itertools.permutations(ts, 2)
+    for a, b in pairs:
+        assert leq(a, b) is whitman_leq(a, b), (print_term(a), print_term(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(keyed_terms, st.sampled_from((JOIN, MEET)))
+def test_promotion_matches_oracle_under(named, kind):
+    _, ts = named
+    # promotion's operands are gens and terms of the other kind
+    ops = tuple(dual_term(t) if t.kind == kind else t for t in ts)
+    want = next(((o, u) for o in ops for u in o.ops
+                 if under_oracle(u, kind, ops)), None)
+    assert promotion(kind, ops) == want, [print_term(o) for o in ops]
