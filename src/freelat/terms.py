@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 GEN = "gen"
 JOIN = "join"
@@ -71,10 +71,26 @@ def _make(kind: str, name: str | None, ops: tuple[Term, ...]) -> Term:
         t.adepth = 0
         t.down = t.up = 1 << next(_GEN_BITS)
     else:
-        t.size = 1 + sum(o.size for o in ops)
-        # a same-kind operand continues this node's run: no new alternation
-        t.adepth = 1 + max(o.adepth - (o.kind == kind) for o in ops)
-        t.down, t.up = node_key(kind, ops)
+        # size, adepth and the key (see node_key) in one pass; a same-kind
+        # operand continues this node's run, so it adds no alternation
+        size, depth = 1, 0
+        d, u = ops[0].down, ops[0].up
+        is_join = kind == JOIN
+        for o in ops:
+            size += o.size
+            a = o.adepth - (o.kind == kind)
+            if a > depth:
+                depth = a
+            if is_join:
+                d |= o.down
+                u &= o.up
+            else:
+                d &= o.down
+                u |= o.up
+        t.size = size
+        t.adepth = 1 + depth
+        t.down = d
+        t.up = u
     t._printed = None
     _INTERN[key] = t
     return t
@@ -97,6 +113,9 @@ def node_key(kind: str, ops: tuple[Term, ...]) -> tuple[int, int]:
 
 
 def gen(name: str) -> Term:
+    t = _INTERN.get((GEN, name))
+    if t is not None:
+        return t
     if not _IDENT.fullmatch(name):
         raise ValueError(f"bad generator name: {name!r}")
     return _make(GEN, name, ())
@@ -236,13 +255,34 @@ def parse_term(text: str, gens: GeneratorSet) -> Term:
     return _Parser(text, gens).parse()
 
 
+def _bare(kind: str, o: Term) -> bool:
+    # a join's operand needs brackets when it is a join, a meet's when it
+    # is not a generator
+    return o.kind != JOIN if kind == JOIN else o.kind == GEN
+
+
+def _node_text(kind: str, ops: tuple[Term, ...], texts: list[str]) -> str:
+    # the text of the join (kind JOIN) or meet of ops, given their texts
+    return ("+" if kind == JOIN else "*").join(
+        x if _bare(kind, o) else f"({x})" for o, x in zip(ops, texts))
+
+
 def print_term(t: Term) -> str:
-    """The concrete syntax of t, kept on t.  The walk keeps an explicit
-    stack, so nesting depth is not bounded by Python's recursion limit;
-    it reuses the text kept on subterms printed before, and keeps only
-    t's own, so a deep term costs memory linear in its text."""
+    """The concrete syntax of t, kept on t.  When every operand is a
+    generator or printed already, their texts are joined directly.
+    Otherwise the walk keeps an explicit stack, so nesting depth is not
+    bounded by Python's recursion limit; it reuses the text kept on
+    subterms printed before, and keeps only t's own, so a deep term costs
+    memory linear in its text."""
     s = t._printed
     if s is not None:
+        return s
+    if t.kind == GEN:
+        s = t._printed = t.name
+        return s
+    texts = [o._printed or o.name for o in t.ops]
+    if None not in texts:
+        s = t._printed = _node_text(t.kind, t.ops, texts)
         return s
     out: list[str] = []
     stack: list[Term | str] = [t]
@@ -258,10 +298,7 @@ def print_term(t: Term) -> str:
             sep = "+" if u.kind == JOIN else "*"
             items: list[Term | str] = []
             for o in u.ops:
-                # a join's operand needs brackets when it is a join, a
-                # meet's when it is not a generator
-                bare = o.kind != JOIN if u.kind == JOIN else o.kind == GEN
-                items += (sep, o) if bare else (sep, "(", o, ")")
+                items += (sep, o) if _bare(u.kind, o) else (sep, "(", o, ")")
             stack.extend(reversed(items[1:]))
     s = t._printed = "".join(out)
     return s
@@ -269,6 +306,15 @@ def print_term(t: Term) -> str:
 
 def term_key(t: Term) -> tuple[int, int, str]:
     return (t.size, t.adepth, print_term(t))
+
+
+def node_term_key(kind: str, ops: tuple[Term, ...]) -> tuple[int, int, str]:
+    """term_key of the join (kind JOIN) or meet of ops, which need not be
+    built: size and adepth as _make computes them, the text as
+    print_term joins it."""
+    return (1 + sum(o.size for o in ops),
+            1 + max(o.adepth - (o.kind == kind) for o in ops),
+            _node_text(kind, ops, [print_term(o) for o in ops]))
 
 
 def substitute(t: Term, assignment: dict[str, Term]) -> Term:
@@ -343,16 +389,31 @@ def dual_term(t: Term) -> Term:
 
 def enumerate_terms(gens: GeneratorSet, max_size: int) -> Iterator[Term]:
     """All canonical-form terms of size <= max_size, each exactly once,
-    ordered by (size, adepth, printed form).
+    ordered by (size, adepth, printed form): the levels of _levels, with
+    the last size's candidates built and sorted here."""
+    for s, level in enumerate(_levels(gens, max_size)):
+        if s == max_size > 0:
+            level = sorted((_make(kind, None, ops) for kind, ops in level),
+                           key=term_key)
+        yield from level
+
+
+def _levels(gens: GeneratorSet, max_size: int) -> Iterator[Iterable]:
+    """The canonical-form terms level by level: a list of the generators,
+    then for each size 1..max_size-1 a list of the built terms of that
+    size, both sorted by term_key, and last, when max_size > 0, an
+    iterator over the canonical candidates (kind, ops) of size max_size,
+    none of them built.  Each candidate is one canonical term, so
+    consumers that need only counts or keys (node_key) of the last size
+    build nothing there.
 
     Canonicity is decided on the operands, by Whitman's canonical-form
     theorem (Freese, Ježek and Nation, Free Lattices, Thm 1.18).  The
     candidates are joins of distinct, key-sorted canonical gens and
     meets, and dually; such a join is canonical iff its operands form an
     antichain and no meetand of an operand lies below the whole join.
-    _size_combos skips comparable picks as it goes, whitman.promotion
-    checks the second condition against the operand tuple, and only the
-    kept terms are built.
+    _size_combos skips comparable picks as it goes, and whitman.promotion
+    checks the second condition against the operand tuple.
 
     Each operand pool stays sorted by term_key with no re-sort: the
     fresh terms of a size are sorted, and each size is larger than every
@@ -361,13 +422,13 @@ def enumerate_terms(gens: GeneratorSet, max_size: int) -> Iterator[Term]:
     pool[i] joins the pool, and only against pool terms small enough to
     share a candidate with it; no larger chosen operand can occur beside
     pool[i], so the antichain test of a pick is comp[i] & chosen.  The
-    fresh terms of the last size join no pool."""
+    last size joins no pool."""
     # imported here because whitman imports this module
     from .whitman import leq, promotion
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
     base = sorted(gens.terms(), key=term_key)
-    yield from base
+    yield base
     # node kind -> (pool, comp) of its possible operands: gens and meets
     # for a join, gens and joins for a meet
     feeds: dict[str, tuple[list[Term], list[int]]] = {JOIN: ([], []), MEET: ([], [])}
@@ -387,16 +448,16 @@ def enumerate_terms(gens: GeneratorSet, max_size: int) -> Iterator[Term]:
         for pool, comp in feeds.values():
             grow(pool, comp, t)
     for s in range(1, max_size + 1):
-        fresh: list[Term] = []
-        for kind, (pool, comp) in feeds.items():
-            for ops in _size_combos(pool, s - 1, comp):
-                if promotion(kind, ops) is None:
-                    fresh.append(_make(kind, None, ops))
-        fresh.sort(key=term_key)
-        yield from fresh
-        if s < max_size:
-            for t in fresh:
-                grow(*feeds[MEET if t.kind == JOIN else JOIN], t)
+        cands = ((kind, ops) for kind, (pool, comp) in feeds.items()
+                 for ops in _size_combos(pool, s - 1, comp)
+                 if promotion(kind, ops) is None)
+        if s == max_size:
+            yield cands
+            return
+        fresh = sorted((_make(kind, None, ops) for kind, ops in cands), key=term_key)
+        yield fresh
+        for t in fresh:
+            grow(*feeds[MEET if t.kind == JOIN else JOIN], t)
 
 
 def _size_combos(pool: list[Term], budget: int,

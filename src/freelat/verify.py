@@ -16,7 +16,7 @@ import itertools
 import operator
 import time
 from math import comb
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .bhom import Hom, kernel_table
 from .builders import (
@@ -35,9 +35,13 @@ from .terms import (
     MEET,
     GeneratorSet,
     Term,
+    _levels,
+    _node,
     dual_term,
     enumerate_terms,
     gen,
+    node_key,
+    node_term_key,
     parse_term,
     print_term,
     substitute,
@@ -165,11 +169,10 @@ def verify_figure3() -> Report:
     return rep
 
 
-def _mask_keys(gens: GeneratorSet,
-               terms: Iterable[Term]) -> Iterator[tuple[Term, tuple[int, int]]]:
-    """Each term over gens with its key (D, U), the generators below and
-    above it as bits in gens order: the key each term carries (see
-    terms), with its bits moved from interning order to gens order."""
+def _key_remap(gens: GeneratorSet) -> Callable[[int], int]:
+    """A map from a generator bitmask in interning order (the order of a
+    term's key, see terms) to the same generators as bits in gens order;
+    bits of generators outside gens are dropped."""
     bits = [(g.down, 1 << k) for k, g in enumerate(gens.terms())]
     local: dict[int, int] = {}
 
@@ -179,6 +182,15 @@ def _mask_keys(gens: GeneratorSet,
             r = local[m] = sum(b for g, b in bits if m & g)
         return r
 
+    return remap
+
+
+def _mask_keys(gens: GeneratorSet,
+               terms: Iterable[Term]) -> Iterator[tuple[Term, tuple[int, int]]]:
+    """Each term over gens with its key (D, U), the generators below and
+    above it as bits in gens order: the key each term carries (see
+    terms), moved to gens order by _key_remap."""
+    remap = _key_remap(gens)
     for t in terms:
         yield t, (remap(t.down), remap(t.up))
 
@@ -508,6 +520,42 @@ def _triple_verdict(keys: tuple[tuple[int, int], ...]) -> tuple[bool, str | None
     return True, case1, case2
 
 
+def _f4_keys(max_size: int,
+             reps: dict[tuple[int, int], Term]) -> Iterator[tuple[int, int]]:
+    """The mask key (D, U), the generators below and above in _G4 order,
+    of each canonical 4-generator term of size <= max_size, in
+    enumeration order; once exhausted, reps maps each key to its least
+    term by term_key, the one enumerate_terms yields first.
+
+    The terms come level by level from terms._levels.  A built term's
+    key is read off the term by _mask_keys.  A candidate of the last
+    size is never built: its key is node_key of its operands, moved to
+    _G4 order by the same _key_remap.  For a class first seen at the
+    last size, the least candidate by node_term_key is kept, and built
+    as the class's representative at the end; nothing else of the last
+    size is built."""
+    remap = _key_remap(_G4)
+    # a class first seen at the last size -> (node_term_key, kind, ops)
+    # of its least candidate so far
+    late: dict[tuple[int, int], tuple] = {}
+    for s, level in enumerate(_levels(_G4, max_size)):
+        if s == max_size > 0:
+            for kind, ops in level:
+                d, u = node_key(kind, ops)
+                key = remap(d), remap(u)
+                if key not in reps:
+                    c = (node_term_key(kind, ops), kind, ops)
+                    if key not in late or c[0] < late[key][0]:
+                        late[key] = c
+                yield key
+        else:
+            for t, key in _mask_keys(_G4, level):
+                reps.setdefault(key, t)
+                yield key
+    for key, (_, kind, ops) in late.items():
+        reps[key] = _node(kind, ops)
+
+
 def search_pi3_in_f4(max_size: int = 4,
                      budget_seconds: float | None = None) -> Report:
     """Look for a triple z1, z2, z3 of 4-generator terms joining to the
@@ -520,9 +568,8 @@ def search_pi3_in_f4(max_size: int = 4,
     pool triple falls in a scanned class, so the class scan and the full
     scan return identical verdicts.
 
-    A term's mask key (D, U), the generators below and above it, is read
-    off the term by _mask_keys.  A NaN or negative budget raises
-    ValueError."""
+    The class key of each term comes from _f4_keys.  A NaN or negative
+    budget raises ValueError."""
     _check_budget(budget_seconds)
     t0 = time.time()
     rep = Report("pi3-search-in-f4")
@@ -530,10 +577,9 @@ def search_pi3_in_f4(max_size: int = 4,
     classes: dict[tuple[int, int], int] = {}
     reps: dict[tuple[int, int], Term] = {}
     nterms = 0
-    for t, key in _mask_keys(_G4, enumerate_terms(_G4, max_size)):
+    for key in _f4_keys(max_size, reps):
         nterms += 1
         classes[key] = classes.get(key, 0) + 1
-        reps.setdefault(key, t)
         if budget_seconds is not None and time.time() - t0 > budget_seconds:
             rep.set("terms_seen", nterms)
             rep.status = INCONCLUSIVE

@@ -2,19 +2,20 @@
 
 leq decides s <= t in the free lattice by Whitman's recursion: a join is
 below t iff every joinand is; s is below a meet iff it is below every
-meetand; a generator is below a join iff it is below some joinand, and
-dually; and a meet is below a join iff some meetand is below the whole
-join or the whole meet is below some joinand.  Generators are below each
-other only if identical.  Results are memoized for the process lifetime,
-keyed on interned term identity.
+meetand; and a meet is below a join iff some meetand is below the whole
+join or the whole meet is below some joinand (W).  Results are memoized
+for the process lifetime, keyed on interned term identity.
 
-Before the memo is consulted, leq rules a pair out by the generator keys
-the terms carry (terms: down, the generators below a term, and up, those
-above).  In a free lattice every generator is join- and meet-prime, so
-the key of a term is exactly the set of generators below and above it,
-and s <= t forces s.down within t.down and t.up within s.up; a pair that
-fails this is not in the order, so the filter changes no answer, only
-the recursion and the memo shrink.  _under (and so promotion and
+Before the memo is consulted, leq reads the generator keys the terms
+carry (terms: down, the generators below a term, and up, those above).
+In a free lattice every generator is join- and meet-prime, so the key of
+a term is exactly the set of generators below and above it.  So s <= t
+forces s.down within t.down and t.up within s.up, and a pair that fails
+this is not in the order; and when s or t is a generator, the key alone
+is the answer.  Neither changes an answer; they only shrink the
+recursion and the memo, which holds no pair with a generator.  In (W)
+the generator operands go first, so a deep operand is entered only when
+no generator settles the pair.  _under (and so promotion and
 ni_predicate) applies the same filter to each operand it tests, against
 the key of the whole join or meet, computed once per call by node_key.
 
@@ -62,6 +63,8 @@ def leq(s: Term, t: Term) -> bool:
         return True
     if s.down & ~t.down or t.up & ~s.up:
         return False
+    if s.kind == GEN or t.kind == GEN:
+        return True   # the key decides a generator on either side
     key = (s, t)
     r = _LEQ.get(key)
     if r is None:
@@ -69,14 +72,14 @@ def leq(s: Term, t: Term) -> bool:
             r = all(leq(o, t) for o in s.ops)
         elif t.kind == MEET:
             r = all(leq(s, o) for o in t.ops)
-        elif s.kind == GEN:
-            # t is a generator or a join here
-            r = s is t if t.kind == GEN else any(leq(s, o) for o in t.ops)
-        elif t.kind == GEN:
-            r = any(leq(o, t) for o in s.ops)
         else:
-            # meet vs join: Whitman's condition (W)
-            r = any(leq(o, t) for o in s.ops) or any(leq(s, o) for o in t.ops)
+            # meet vs join: Whitman's condition (W), the operands the key
+            # decides first, so a generator answers before any deep operand
+            # is entered
+            r = (any(leq(o, t) for o in s.ops if o.kind == GEN)
+                 or any(leq(s, o) for o in t.ops if o.kind == GEN)
+                 or any(leq(o, t) for o in s.ops if o.kind != GEN)
+                 or any(leq(s, o) for o in t.ops if o.kind != GEN))
         _LEQ[key] = r
     return r
 
@@ -123,16 +126,20 @@ def canonical_form(t: Term) -> Term:
 
 
 def _under(u: Term, kind: str, ops: tuple[Term, ...], down: int, up: int) -> bool:
-    # u <= join(*ops) for kind JOIN, meet(*ops) <= u for kind MEET, where
-    # (down, up) is the key of that whole join or meet
+    """u <= join(*ops) for kind JOIN, meet(*ops) <= u for kind MEET, where
+    (down, up) is the key of that whole join or meet, by Whitman's
+    recursion on the tuple.  The keys rule a pair out before any
+    recursion, and decide it outright when u is a generator."""
     if (u.down & ~down or up & ~u.up) if kind == JOIN else (down & ~u.down or u.up & ~up):
         return False
+    if u.kind == GEN:
+        return True
     if u.kind == kind:
         return all(_under(o, kind, ops, down, up) for o in u.ops)
     if any(leq(u, o) if kind == JOIN else leq(o, u) for o in ops):
         return True
     # (W) for a meet below a join, dually
-    return u.kind != GEN and any(_under(o, kind, ops, down, up) for o in u.ops)
+    return any(_under(o, kind, ops, down, up) for o in u.ops)
 
 
 def promotion(kind: str, ops: tuple[Term, ...]) -> tuple[Term, Term] | None:

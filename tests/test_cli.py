@@ -79,6 +79,16 @@ def test_deeply_nested_term_exits_2(capsys):
     assert captured.out == ""
 
 
+def test_leq_on_a_300_level_term(capsys):
+    # (..((x+y)*z+y)*z..): the generator meetand z settles (W) before the
+    # 300-level first meetand is entered
+    t = "(x+y)*z"
+    for _ in range(299):
+        t = f"({t}+y)*z"
+    assert run(["leq", t, "x+y+z"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+
+
 def test_lat_check(tmp_path, capsys):
     assert run(["lat", "check", "builtin:n5"]) == 0
     assert "n=5 covers=5" in capsys.readouterr().out

@@ -20,7 +20,10 @@ from freelat.terms import (
     parse_term,
     print_term,
     substitute,
+    _levels,
     _size_combos,
+    node_key,
+    node_term_key,
     term_key,
 )
 from freelat.whitman import canonical_form, leq, promotion
@@ -39,6 +42,10 @@ def test_interning_gives_identity():
 def test_factories_validate():
     with pytest.raises(TypeError):
         join(X, "y")
+    with pytest.raises(TypeError):
+        meet(X, 3)
+    with pytest.raises(ValueError):
+        gen("1x")
     assert join(X) is X
     assert meet(X) is X
 
@@ -317,3 +324,26 @@ def test_enumeration_interns_only_kept_terms():
     assert len(out) == 1640
     assert len(terms._INTERN) - interned <= len(out)
     assert len(whitman._CANON) == canon
+
+
+def test_levels_leave_the_last_size_unbuilt():
+    # generator names no other test uses, so every built term is new
+    gens = GeneratorSet(("v1", "v2", "v3", "v4"))
+    interned = len(terms._INTERN)
+    *built, last = _levels(gens, 4)
+    assert [len(level) for level in built] == [4, 22, 44, 282]
+    assert len(terms._INTERN) - interned == 352
+    last = list(last)
+    assert len(last) == 1640 - 352
+    assert len(terms._INTERN) - interned == 352
+    # enumerate_terms builds the same candidates and sorts them
+    out = list(enumerate_terms(gens, 4))
+    assert out[:len(out) - len(last)] == [t for level in built for t in level]
+    tail = out[len(out) - len(last):]
+    assert sorted(node_term_key(kind, ops) for kind, ops in last) == \
+        [term_key(t) for t in tail]
+    for kind, ops in last:
+        t = join(*ops) if kind == JOIN else meet(*ops)
+        assert node_key(kind, ops) == (t.down, t.up)
+        assert node_term_key(kind, ops) == term_key(t)
+    assert [len(level) for level in _levels(gens, 0)] == [4]

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import types
@@ -581,7 +582,7 @@ def test_f4_budget_stops_early():
     assert "stopped" in rep.data
 
 
-def test_f4_covering_triple_fails_report_and_cli(monkeypatch, capsys):
+def _every_valid_triple_covers(monkeypatch):
     real = verify._triple_verdict
 
     def covering(keys):
@@ -589,6 +590,10 @@ def test_f4_covering_triple_fails_report_and_cli(monkeypatch, capsys):
         return ok, "I^z1|J_z2|K" if ok else None, c2
 
     monkeypatch.setattr(verify, "_triple_verdict", covering)
+
+
+def test_f4_covering_triple_fails_report_and_cli(monkeypatch, capsys):
+    _every_valid_triple_covers(monkeypatch)
     rep = search_pi3_in_f4(1)
     assert rep.status == FAIL
     assert [s.status for s in rep.subs] == [FAIL, PASS]
@@ -596,6 +601,55 @@ def test_f4_covering_triple_fails_report_and_cli(monkeypatch, capsys):
     assert run(["verify", "pi3-f4", "--max-size", "1", "--format", "records"]) == 1
     assert capsys.readouterr().out.startswith(
         "claim=pi3-search-in-f4 status=fail\n")
+
+
+def _oracle_f4_keys(max_size, reps):
+    """Oracle for verify._f4_keys: every term built by enumerate_terms,
+    keyed by _mask_keys, the first of each class its representative."""
+    for t, key in _mask_keys(_G4, enumerate_terms(_G4, max_size)):
+        reps.setdefault(key, t)
+        yield key
+
+
+@pytest.mark.parametrize("max_size", range(6))
+def test_f4_keys_match_the_build_every_term_oracle(max_size):
+    reps = {}
+    counts = collections.Counter(verify._f4_keys(max_size, reps))
+    want_reps = {}
+    want = collections.Counter(_oracle_f4_keys(max_size, want_reps))
+    assert counts == want
+    assert reps == want_reps
+    # up to size 3, some classes are first seen at the last size
+    assert any(t.size == max_size for t in reps.values()) == (max_size <= 3)
+    rep = search_pi3_in_f4(max_size)
+    assert rep.data["terms"] == sum(want.values())
+    assert rep.data["mask_classes"] == len(want)
+
+
+@pytest.mark.parametrize("max_size", [1, 2])
+def test_f4_covering_report_matches_the_oracle_path(monkeypatch, max_size):
+    # every valid class triple reported as covering, so the records list
+    # a witness for each, among them classes first seen at the last size
+    _every_valid_triple_covers(monkeypatch)
+    got = search_pi3_in_f4(max_size).records()
+    monkeypatch.setattr(verify, "_f4_keys", _oracle_f4_keys)
+    want = search_pi3_in_f4(max_size).records()
+    assert got == want
+    assert sum(r.startswith("sub0 line ") for r in got) == (80, 96)[max_size - 1]
+
+
+def test_f4_budget_is_read_inside_the_last_size(monkeypatch):
+    # the clock runs out on the read after the fifth term of size 2, the
+    # last size, which is never built
+    below = len(list(enumerate_terms(_G4, 1)))
+    reads = itertools.count()
+    fake = types.SimpleNamespace(
+        time=lambda: 0.0 if next(reads) < below + 5 else 1e9)
+    monkeypatch.setattr(verify, "time", fake)
+    rep = search_pi3_in_f4(2, budget_seconds=5.0)
+    assert rep.status == INCONCLUSIVE
+    assert rep.data["stopped"] == "during term enumeration"
+    assert rep.data["terms_seen"] == below + 5
 
 
 def test_separate_generators_uses_pentagon():

@@ -321,10 +321,29 @@ keyed_terms = st.sampled_from(KEY_SETS).flatmap(
 def test_term_key_is_the_generators_below_and_above(named):
     names, ts = named
     gens = [gen(n) for n in names]
+    G_named = GeneratorSet(names)
     for t in ts + [canonical_form(t) for t in ts]:
         assert t.down == sum(g.down for g in gens if whitman_leq(g, t))
         assert t.up == sum(g.up for g in gens if whitman_leq(t, g))
+        # the other measures _make computes in the same pass, and the text
+        assert t.size == tree_size(t)
+        assert t.adepth == alternations(t)
+        assert parse_term(print_term(t), G_named) is t
     assert all(g.down == g.up and g.down.bit_count() == 1 for g in gens)
+
+
+def tree_size(t):
+    """Oracle for Term.size: join and meet nodes of the tree, counted
+    with repetition."""
+    return 0 if t.kind == GEN else 1 + sum(tree_size(o) for o in t.ops)
+
+
+def alternations(t, parent=None):
+    """Oracle for Term.adepth: the most runs of one node kind on a
+    root-to-leaf path."""
+    if t.kind == GEN:
+        return 0
+    return (t.kind != parent) + max(alternations(o, t.kind) for o in t.ops)
 
 
 @settings(max_examples=100, deadline=None)
