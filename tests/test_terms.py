@@ -335,6 +335,7 @@ def test_levels_leave_the_last_size_unbuilt():
     assert len(terms._INTERN) - interned == 352
     last = list(last)
     assert len(last) == 1640 - 352
+    # running the last level's candidates builds none of them
     assert len(terms._INTERN) - interned == 352
     # enumerate_terms builds the same candidates and sorts them
     out = list(enumerate_terms(gens, 4))
