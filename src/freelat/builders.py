@@ -10,6 +10,8 @@ join-of-atoms / meet-of-coatoms elements one at a time.
 
 from __future__ import annotations
 
+import functools
+
 from .finlat import FiniteLattice, double, from_covers
 from .terms import GeneratorSet
 
@@ -147,17 +149,22 @@ def extended_catalog() -> list[FiniteLattice]:
     return catalog() + [cube(), hexagon(), grid2x3()]
 
 
+# the extended catalog by name, plus n5, fd3 and A
+_BUILTINS = {
+    **{f"chain{k}": functools.partial(chain, k) for k in range(1, 6)},
+    "diamond": diamond, "diamond_top": diamond_top, "diamond_bot": diamond_bot,
+    "pentagon": pentagon, "n5": pentagon, "m3": m3, "cube": cube,
+    "hexagon": hexagon, "grid2x3": grid2x3, "fd3": build_fd3, "A": build_a,
+}
+
+
 def builtin_lattice(name: str) -> FiniteLattice:
-    for L in extended_catalog():
-        if L.name == name:
-            return L
-    if name == "n5":
-        return pentagon()
-    if name == "fd3":
-        return build_fd3()
-    if name == "A":
-        return build_a()
-    raise KeyError(f"no builtin lattice named {name!r}")
+    """A fresh copy of the named builtin; only that one is built."""
+    try:
+        make = _BUILTINS[name]
+    except KeyError:
+        raise KeyError(f"no builtin lattice named {name!r}") from None
+    return make()
 
 
 def pentagon_hom():

@@ -9,6 +9,7 @@ nothing was certified.  Usage and input errors exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -90,6 +91,7 @@ def _report_out(rep: Report, fmt: str) -> int:
     return 0 if rep.status == PASS else 1
 
 
+@functools.cache   # parsing leaves the parser as it was, so one serves every run
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="freelat",

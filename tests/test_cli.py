@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from freelat.builders import chain
-from freelat.cli import run
+from freelat.cli import _build_parser, run
 from freelat.finlat import dm_completion, join_irreducibles, poset_from_covers
 from freelat.latfile import dumps
 
@@ -347,6 +348,30 @@ def test_global_jobs_and_seed_flags_are_usage_errors(capsys):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert "freelat" in capsys.readouterr().out
+
+
+def test_one_parser_serves_a_mixed_sequence_of_runs(capsys):
+    # the parser is built once per process; every run must print and exit
+    # as it would with a parser built for it alone
+    runs = [["verify", "fig3", "--format", "records"], ["leq", "x"],
+            ["lat", "--help"], ["leq", "x*y", "x+y"]]
+
+    def outcome(argv):
+        code = run(argv)
+        cap = capsys.readouterr()
+        return code, cap.out, re.sub(r"finished in \S+s", "finished", cap.err)
+
+    fresh = []
+    for argv in runs:
+        _build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    _build_parser.cache_clear()
+    shared = [outcome(argv) for argv in runs]
+    assert _build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0]
+    assert "the following arguments are required: t" in shared[1][2]
+    assert "usage: freelat lat" in shared[2][1]
 
 
 def test_no_command_exits_2():

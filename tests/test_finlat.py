@@ -275,6 +275,9 @@ def test_caches_are_kept_on_the_lattice():
     assert F.dual().dual() is F
     assert d_rank(F) is d_rank(F)
     assert join_irreducibles(F) is join_irreducibles(F)
+    for a in range(F.n):
+        assert minimal_join_covers(F, a) is minimal_join_covers(F, a)
+    assert minimal_join_covers(F.dual(), F.top) is not minimal_join_covers(F, F.top)
     assert F.lower_covers(F.top) == [a for a, b in F.covers() if b == F.top]
     assert F.upper_covers(F.bottom) == [b for a, b in F.covers() if a == F.bottom]
 
@@ -309,6 +312,26 @@ def test_dm_completion_fixes_lattices():
         assert C.n == L.n
         assert find_isomorphism(L, C) is not None
         assert sorted(emb) == list(range(L.n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_orders())
+def test_dm_completion_orders_its_cuts_by_inclusion(P):
+    L, emb = dm_completion(P)
+    # the cuts, as the sets of points below each element, and as every
+    # intersection of principal down-sets (the empty intersection is all)
+    cuts = [sum(1 << p for p in range(P.n) if L.leq(emb[p], i)) for i in range(L.n)]
+    want = {(1 << P.n) - 1}
+    for k in range(1, P.n + 1):
+        for ps in itertools.combinations(range(P.n), k):
+            m = (1 << P.n) - 1
+            for p in ps:
+                m &= P.down[p]
+            want.add(m)
+    assert len(set(cuts)) == L.n and set(cuts) == want
+    for i in range(L.n):
+        for j in range(L.n):
+            assert L.leq(i, j) == (not cuts[i] & ~cuts[j])
 
 
 def test_dm_completion_of_fence():
@@ -396,12 +419,24 @@ def test_to_dot():
     assert 'label="c"' in txt
 
 
-def test_builtin_lattice_names():
+def test_builtin_lattice_names(monkeypatch):
     assert builtin_lattice("n5").name == "pentagon"
     assert builtin_lattice("fd3").n == 18
     assert builtin_lattice("A").n == 24
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="no builtin lattice named 'nope'"):
         builtin_lattice("nope")
+    for L in extended_catalog():
+        B = builtin_lattice(L.name)
+        assert (B.name, B.up, B.labels) == (L.name, L.up, L.labels)
+        assert B is not builtin_lattice(L.name)
+    # a lookup builds the lattice it names and nothing else
+    built = []
+    init = FiniteLattice.__init__
+    monkeypatch.setattr(FiniteLattice, "__init__",
+                        lambda self, *a, **k: built.append(init(self, *a, **k)))
+    builtin_lattice("m3")
+    builtin_lattice("chain5").dual()
+    assert len(built) == 2
 
 
 def test_catalog_contents():
@@ -413,3 +448,163 @@ def test_catalog_contents():
         for K in cat[i + 1:]:
             assert find_isomorphism(L, K) is None
     assert len(extended_catalog()) == 13
+
+
+# Oracles for the table build: the all-pairs scan FiniteLattice ran
+# before it tried the lowest (highest) index of each bound set, and the
+# doubled rows built from one leq call per pair of nodes.
+
+def scan_tables(up, labels, name):
+    P = FinitePoset(up, labels, name)
+    n = P.n
+
+    def least(mask):
+        return next((k for k in range(n) if (mask >> k) & 1
+                     and not mask & ~P.up[k]), None)
+
+    def greatest(mask):
+        return next((k for k in range(n) if (mask >> k) & 1
+                     and not mask & ~P.down[k]), None)
+
+    joins = [[0] * n for _ in range(n)]
+    meets = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            k = least(P.up[i] & P.up[j])
+            if k is None:
+                raise NotALatticeError(
+                    f"{name}: no least upper bound of "
+                    f"{P.labels[i]!r} and {P.labels[j]!r}")
+            joins[i][j] = joins[j][i] = k
+            k = greatest(P.down[i] & P.down[j])
+            if k is None:
+                raise NotALatticeError(
+                    f"{name}: no greatest lower bound of "
+                    f"{P.labels[i]!r} and {P.labels[j]!r}")
+            meets[i][j] = meets[j][i] = k
+    full = (1 << n) - 1
+    return joins, meets, least(full), greatest(full)
+
+
+def leq_double_rows(L, elems):
+    nodes = []
+    for i in range(L.n):
+        nodes += [(i, 0), (i, 1)] if i in elems else [(i, None)]
+    up = []
+    for i, si in nodes:
+        row = 0
+        for l, (j, sj) in enumerate(nodes):
+            if i == j:
+                ok = si == sj or (si is not None and sj is not None and si <= sj)
+            else:
+                ok = L.leq(i, j)
+            if ok:
+                row |= 1 << l
+        up.append(row)
+    return up
+
+
+def shuffled_rows(up, perm):
+    """The same order with element i renamed perm[i]."""
+    out = [0] * len(up)
+    for i, row in enumerate(up):
+        for j in range(len(up)):
+            if (row >> j) & 1:
+                out[perm[i]] |= 1 << perm[j]
+    return out
+
+
+def assert_tables_match_scan(up, labels, name):
+    try:
+        want = scan_tables(up, labels, name)
+    except NotALatticeError as e:
+        with pytest.raises(NotALatticeError) as got:
+            FiniteLattice(up, labels, name)
+        assert str(got.value) == str(e)
+        return None
+    L = FiniteLattice(up, labels, name)
+    assert (L.joins, L.meets, L.bottom, L.top) == want
+    D = L.dual()
+    assert (D.joins, D.meets, D.bottom, D.top) == scan_tables(L.down, labels, name)
+    assert D.up == L.down and D.down == L.up and D.name == name + ".op"
+    assert D.dual() is L
+    return L
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_orders(), st.randoms(use_true_random=False))
+def test_tables_match_the_scan_on_random_orders_in_any_index_order(P, rnd):
+    L, _ = dm_completion(P)
+    perm = list(range(L.n))
+    rnd.shuffle(perm)
+    labels = [None] * L.n
+    for i, p in enumerate(perm):
+        labels[p] = L.labels[i]
+    assert assert_tables_match_scan(L.up, L.labels, L.name) is not None
+    S = assert_tables_match_scan(shuffled_rows(L.up, perm), labels, "shuffled")
+    assert S is not None and find_isomorphism(L, S) is not None
+    # the orders themselves are mostly not lattices, so the errors are compared
+    perm = list(range(P.n))
+    rnd.shuffle(perm)
+    assert_tables_match_scan(P.up, P.labels, P.name)
+    assert_tables_match_scan(shuffled_rows(P.up, perm), P.labels, P.name)
+
+
+def test_tables_match_the_scan_on_builtins_and_their_duals():
+    for L in extended_catalog() + [build_fd3(), build_a()]:
+        assert_tables_match_scan(L.up, L.labels, L.name)
+        # built top-down, every candidate fails and the scan answers
+        assert_tables_match_scan(L.down, L.labels, L.name)
+
+
+def test_not_a_lattice_names_the_first_failing_pair():
+    # 0 and 1 have the join 4 but two maximal lower bounds, 2 and 3, which
+    # in turn have no least upper bound; the pair (0, 1) comes first
+    up = poset_from_covers("P", 5, [(2, 0), (2, 1), (3, 0), (3, 1),
+                                    (0, 4), (1, 4)]).up
+    with pytest.raises(NotALatticeError, match=r"^bad: no greatest lower bound "
+                                               r"of '0' and '1'$"):
+        FiniteLattice(up, None, "bad")
+    assert_tables_match_scan(up, None, "bad")
+
+
+class Subclassed(FiniteLattice):
+    pass
+
+
+def test_dual_keeps_the_class_and_shares_the_tables():
+    N5 = pentagon()
+    L = Subclassed(N5.up, N5.labels, "sub")
+    D = L.dual()
+    assert type(D) is Subclassed and D.dual() is L and L.dual() is D
+    assert D.joins is L.meets and D.meets is L.joins
+    assert (D.bottom, D.top) == (L.top, L.bottom)
+    assert D._subs == {} and D._subs is not L._subs
+    D.weak = "a subclass's dual has its own __dict__"
+    assert not hasattr(L, "weak")
+    P = poset_from_covers("fence", 3, [(0, 1), (2, 1)])
+    assert type(P.dual()) is FinitePoset and P.dual().dual() is P
+    assert P.dual().up == P.down and P.dual().covers() == [(1, 0), (1, 2)]
+
+
+def test_double_rows_match_leq_rows():
+    count = 0
+    for L in extended_catalog():
+        for mask in range(1, 1 << L.n):
+            C = {i for i in range(L.n) if (mask >> i) & 1}
+            try:
+                D = double(L, C)
+            except ValueError:
+                continue   # not convex
+            assert D.up == leq_double_rows(L, C)
+            count += 1
+    assert count > 200
+    F = build_fd3()
+    for t in fd3_doubling_targets(F):
+        assert double(F, [t]).up == leq_double_rows(F, {t})
+    for lbl in sorted(F.labels[i] for i in fd3_doubling_targets(F)):
+        C = {F.index_of(lbl)}
+        D = double(F, C)
+        assert D.up == leq_double_rows(F, C)
+        F = D
+    assert F.n == 24

@@ -1,5 +1,6 @@
 """The batch commands of the benchmark, run in process through cli.run,
-must print exactly what perfbench/expected/ holds and exit as expected.
+must print exactly what perfbench/expected/ holds and exit as expected;
+the lattice commands must print exactly what tests/data/ holds.
 
 This makes records identity part of the plain test run, so a refactor
 that changes a report shows up here first.  The files are only read.
@@ -12,6 +13,7 @@ import pytest
 from freelat.cli import run
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+DATA = Path(__file__).resolve().parent / "data"
 
 COMMANDS = [
     (["verify", "fig1", "--format", "records"], 0, "fig1.out"),
@@ -32,3 +34,25 @@ COMMANDS = [
 def test_batch_output_matches_expected(argv, code, expected, capsys):
     assert run(argv) == code
     assert capsys.readouterr().out.encode() == (EXPECTED / expected).read_bytes()
+
+
+FD3_TO_A = ["--stage", "builtin:fd3:x=x,y=y,z=z", "--stage", "builtin:A:x=x,y=y,z=z"]
+
+LATTICE_COMMANDS = [
+    (["lat", "check", "builtin:fd3"], 0, "lat-check-fd3.out"),
+    (["lat", "drank", "builtin:A"], 0, "lat-drank-A.out"),
+    (["lat", "drank", "builtin:n5"], 0, "lat-drank-n5.out"),
+    (["lat", "sd", "builtin:m3"], 1, "lat-sd-m3.out"),
+    (["lat", "double", "builtin:n5", "b"], 0, "lat-double-n5-b.out"),
+    (["lat", "dm", str(DATA / "a24.lat")], 0, "lat-dm-a24.out"),
+    (["hom", "classes", "--lat", "builtin:n5", "--map", "x=c,y=b,z=a"], 0,
+     "hom-classes-n5.out"),
+    (["tower", "compare", *FD3_TO_A, "x*(y+z)", "x*y+x*z"], 0, "tower-compare.out"),
+]
+
+
+@pytest.mark.parametrize("argv,code,expected", LATTICE_COMMANDS,
+                         ids=[c[2].removesuffix(".out") for c in LATTICE_COMMANDS])
+def test_lattice_output_matches_expected(argv, code, expected, capsys):
+    assert run(argv) == code
+    assert capsys.readouterr().out.encode() == (DATA / expected).read_bytes()
