@@ -79,7 +79,6 @@ from .verify import (
 from .whitman import (
     canonical_form,
     equal,
-    fixed_point_search,
     generates_free,
     leq,
     ni_predicate,

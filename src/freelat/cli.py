@@ -301,7 +301,7 @@ def _cmd_tower(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.vercmd == "fig1":
         rep = V.verify_figure1()
     elif args.vercmd == "fig2":
@@ -316,7 +316,7 @@ def _cmd_verify(args) -> int:
         G = GeneratorSet.from_spec(args.gens)
         rep = V.separate_terms(_term(args.s, G), _term(args.t, G))
     code = _report_out(rep, args.format)
-    print(f"# finished in {time.time() - t0:.2f}s", file=sys.stderr)
+    print(f"# finished in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return code
 
 

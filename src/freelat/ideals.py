@@ -12,7 +12,7 @@ yes with a witness index or an explicit no-up-to-budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .reporting import FAIL, PASS, Report
 from .terms import Term, gen, join, meet
@@ -32,25 +32,18 @@ class MemberAnswer:
 
 
 class ChainIdeal:
-    """Union of the principal ideals of an increasing term chain.
-
-    terms may be a list or a rule k -> term; the chain is checked to be
-    increasing as far as the budget reaches.
+    """Union of the principal ideals of an increasing term chain, given
+    as a list and cut after index budget; the chain is checked to be
+    increasing.
     """
 
-    def __init__(self, name: str,
-                 terms: Sequence[Term] | Callable[[int], Term],
-                 budget: int):
+    def __init__(self, name: str, terms: Sequence[Term], budget: int):
         if budget < 0:
             raise ValueError("budget must be >= 0")
         self.name = name
-        self.budget = budget
-        if callable(terms):
-            self._terms = [terms(k) for k in range(budget + 1)]
-        else:
-            self._terms = list(terms)[:budget + 1]
-            if not self._terms:
-                raise ValueError(f"ideal {name}: no chain terms")
+        self._terms = list(terms)[:budget + 1]
+        if not self._terms:
+            raise ValueError(f"ideal {name}: no chain terms")
         for k in range(len(self._terms) - 1):
             if not leq(self._terms[k], self._terms[k + 1]):
                 raise ValueError(f"ideal {name}: chain decreases at index {k}")
@@ -117,15 +110,14 @@ def sd_meet_failure_report(budget: int = 4) -> Report:
     rep = Report("ideal-sd-meet-failure")
     rep.set("budget", budget)
     rep.set("witness", w)
+    ys, zs = zip(*map(yz_chains, range(budget + 1)))
     X = ChainIdeal("X", [x], budget)
-    Y = ChainIdeal("Y", lambda k: yz_chains(k)[0], budget)
-    Z = ChainIdeal("Z", lambda k: yz_chains(k)[1], budget)
+    Y = ChainIdeal("Y", ys, budget)
+    Z = ChainIdeal("Z", zs, budget)
     ok = True
     for k in range(budget):
-        yk, zk = yz_chains(k)
-        yk1, zk1 = yz_chains(k + 1)
-        r1 = leq(meet(x, yk), zk1)
-        r2 = leq(meet(x, zk), yk1)
+        r1 = leq(meet(x, ys[k]), zs[k + 1])
+        r2 = leq(meet(x, zs[k]), ys[k + 1])
         rep.add_line(check="meets-interleave", k=k, xy_below_znext=r1,
                      xz_below_ynext=r2)
         ok = ok and r1 and r2

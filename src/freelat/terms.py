@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 GEN = "gen"
 JOIN = "join"
@@ -261,12 +261,6 @@ def _bare(kind: str, o: Term) -> bool:
     return o.kind != JOIN if kind == JOIN else o.kind == GEN
 
 
-def _node_text(kind: str, ops: tuple[Term, ...], texts: list[str]) -> str:
-    # the text of the join (kind JOIN) or meet of ops, given their texts
-    return ("+" if kind == JOIN else "*").join(
-        x if _bare(kind, o) else f"({x})" for o, x in zip(ops, texts))
-
-
 def print_term(t: Term) -> str:
     """The concrete syntax of t, kept on t.  When every operand is a
     generator or printed already, their texts are joined directly.
@@ -282,7 +276,8 @@ def print_term(t: Term) -> str:
         return s
     texts = [o._printed or o.name for o in t.ops]
     if None not in texts:
-        s = t._printed = _node_text(t.kind, t.ops, texts)
+        s = t._printed = ("+" if t.kind == JOIN else "*").join(
+            x if _bare(t.kind, o) else f"({x})" for o, x in zip(t.ops, texts))
         return s
     out: list[str] = []
     stack: list[Term | str] = [t]
@@ -308,20 +303,11 @@ def term_key(t: Term) -> tuple[int, int, str]:
     return (t.size, t.adepth, print_term(t))
 
 
-def node_term_key(kind: str, ops: tuple[Term, ...]) -> tuple[int, int, str]:
-    """term_key of the join (kind JOIN) or meet of ops, which need not be
-    built: size and adepth as _make computes them, the text as
-    print_term joins it."""
-    return (1 + sum(o.size for o in ops),
-            1 + max(o.adepth - (o.kind == kind) for o in ops),
-            _node_text(kind, ops, [print_term(o) for o in ops]))
-
-
-def substitute(t: Term, assignment: dict[str, Term]) -> Term:
-    """t with each generator replaced by its image in assignment.  The
-    walk keeps an explicit stack, so any nesting depth is handled; it
-    visits operands left to right, so the first generator without an
-    image is the one named in the error."""
+def _rebuild(t: Term, leaf: Callable[[Term], Term], kinds: dict[str, str]) -> Term:
+    """t rebuilt from the bottom up: each generator g as leaf(g), each
+    join or meet as a node of kind kinds[its kind] over its rebuilt
+    operands.  The walk keeps an explicit stack, so any nesting depth is
+    handled; it visits operands left to right."""
     memo: dict[Term, Term] = {}
     stack = [t]
     while stack:
@@ -329,18 +315,28 @@ def substitute(t: Term, assignment: dict[str, Term]) -> Term:
         if u in memo:
             stack.pop()
         elif u.kind == GEN:
-            r = assignment.get(u.name)
-            if r is None:
-                raise ValueError(f"no image for generator {u.name!r}")
-            memo[stack.pop()] = r
+            memo[stack.pop()] = leaf(u)
         else:
             todo = [o for o in u.ops if o not in memo]
             if todo:
                 stack.extend(reversed(todo))
             else:
                 stack.pop()
-                memo[u] = _node(u.kind, tuple(memo[o] for o in u.ops))
+                memo[u] = _node(kinds[u.kind], tuple(memo[o] for o in u.ops))
     return memo[t]
+
+
+def substitute(t: Term, assignment: dict[str, Term]) -> Term:
+    """t with each generator replaced by its image in assignment, by
+    _rebuild, so the first generator without an image, left to right,
+    is the one named in the error."""
+    def image(g: Term) -> Term:
+        r = assignment.get(g.name)
+        if r is None:
+            raise ValueError(f"no image for generator {g.name!r}")
+        return r
+
+    return _rebuild(t, image, {JOIN: JOIN, MEET: MEET})
 
 
 def evaluate(t: Term, lattice, assignment: dict[str, int]) -> int:
@@ -365,26 +361,10 @@ def evaluate(t: Term, lattice, assignment: dict[str, int]) -> int:
 
 
 def dual_term(t: Term) -> Term:
-    """Swap joins and meets.  The dual of a canonical form may need its
-    operands re-sorted; run it through canonical_form when that matters.
-    The walk keeps an explicit stack, so any nesting depth is handled."""
-    memo: dict[Term, Term] = {}
-    stack = [t]
-    while stack:
-        u = stack[-1]
-        if u in memo:
-            stack.pop()
-        elif u.kind == GEN:
-            memo[u] = stack.pop()
-        else:
-            todo = [o for o in u.ops if o not in memo]
-            if todo:
-                stack.extend(todo)
-            else:
-                stack.pop()
-                memo[u] = _node(MEET if u.kind == JOIN else JOIN,
-                                tuple(memo[o] for o in u.ops))
-    return memo[t]
+    """Swap joins and meets, by _rebuild.  The dual of a canonical form
+    may need its operands re-sorted; run it through canonical_form when
+    that matters."""
+    return _rebuild(t, lambda g: g, {JOIN: MEET, MEET: JOIN})
 
 
 def enumerate_terms(gens: GeneratorSet, max_size: int) -> Iterator[Term]:

@@ -36,12 +36,10 @@ from .terms import (
     GeneratorSet,
     Term,
     _levels,
-    _node,
     dual_term,
     enumerate_terms,
     gen,
     node_key,
-    node_term_key,
     parse_term,
     print_term,
     substitute,
@@ -361,7 +359,7 @@ def check_pi3_in_f3(max_size: int = 6,
     The search itself is _cover_free_quads.  A NaN or negative budget
     raises ValueError."""
     _check_budget(budget_seconds)
-    t0 = time.time()
+    t0 = time.monotonic()
     rep = Report("pi3-coverage-in-f3")
     rep.set("max_size", max_size)
     _cover_free_quads(rep, _F3Search(enumerate_terms(_G3, max_size)),
@@ -406,7 +404,7 @@ def _cover_free_quads(rep: Report, S: _F3Search, t0: float,
     checked = free = triples = 0
 
     def out_of_time(i: int) -> bool:
-        if budget_seconds is None or time.time() - t0 <= budget_seconds:
+        if budget_seconds is None or time.monotonic() - t0 <= budget_seconds:
             return False
         rep.set("stopped", f"during tuple search at term {i} of {n}")
         return True
@@ -478,7 +476,8 @@ def _cover_free_quads(rep: Report, S: _F3Search, t0: float,
     for nm in union_hist:
         rep.set(f"covered_by_{nm}", union_hist[nm])
     rep.set("uncovered", len(uncovered))
-    rep.set("vacuous", not free)
+    # a search cut short has not shown that no quad is free
+    rep.set("vacuous", not (free or stopped))
     rep.status = FAIL if uncovered else INCONCLUSIVE if stopped else PASS
 
 
@@ -520,40 +519,31 @@ def _triple_verdict(keys: tuple[tuple[int, int], ...]) -> tuple[bool, str | None
     return True, case1, case2
 
 
-def _f4_keys(max_size: int,
-             reps: dict[tuple[int, int], Term]) -> Iterator[tuple[int, int]]:
+def _f4_keys(max_size: int) -> Iterator[tuple[int, int]]:
     """The mask key (D, U), the generators below and above in _G4 order,
     of each canonical 4-generator term of size <= max_size, in
-    enumeration order; once exhausted, reps maps each key to its least
-    term by term_key, the one enumerate_terms yields first.
+    enumeration order.
 
     The terms come level by level from terms._levels.  A built term's
-    key is read off the term by _mask_keys.  A candidate of the last
-    size is never built: its key is node_key of its operands, moved to
-    _G4 order by the same _key_remap.  For a class first seen at the
-    last size, the least candidate by node_term_key is kept, and built
-    as the class's representative at the end; nothing else of the last
-    size is built."""
+    key is the one it carries; a candidate of the last size is never
+    built, and its key is node_key of its operands.  Both are moved to
+    _G4 order by _key_remap, as _mask_keys does."""
     remap = _key_remap(_G4)
-    # a class first seen at the last size -> (node_term_key, kind, ops)
-    # of its least candidate so far
-    late: dict[tuple[int, int], tuple] = {}
     for s, level in enumerate(_levels(_G4, max_size)):
-        if s == max_size > 0:
-            for kind, ops in level:
-                d, u = node_key(kind, ops)
-                key = remap(d), remap(u)
-                if key not in reps:
-                    c = (node_term_key(kind, ops), kind, ops)
-                    if key not in late or c[0] < late[key][0]:
-                        late[key] = c
-                yield key
-        else:
-            for t, key in _mask_keys(_G4, level):
-                reps.setdefault(key, t)
-                yield key
-    for key, (_, kind, ops) in late.items():
-        reps[key] = _node(kind, ops)
+        last = s == max_size > 0
+        for c in level:
+            d, u = node_key(*c) if last else (c.down, c.up)
+            yield remap(d), remap(u)
+
+
+def _f4_witnesses(max_size: int) -> dict[tuple[int, int], Term]:
+    """Each mask class of terms of size <= max_size with its least term by
+    term_key, the first of the class that enumerate_terms yields.  It
+    builds every term, so it runs only when a triple covers."""
+    reps: dict[tuple[int, int], Term] = {}
+    for t, key in _mask_keys(_G4, enumerate_terms(_G4, max_size)):
+        reps.setdefault(key, t)
+    return reps
 
 
 def search_pi3_in_f4(max_size: int = 4,
@@ -568,19 +558,20 @@ def search_pi3_in_f4(max_size: int = 4,
     pool triple falls in a scanned class, so the class scan and the full
     scan return identical verdicts.
 
-    The class key of each term comes from _f4_keys.  A NaN or negative
-    budget raises ValueError."""
+    The class key of each term comes from _f4_keys, and the witness
+    terms of a covering triple from _f4_witnesses.  A case whose scan
+    was cut short by the budget with no hit is inconclusive.  A NaN or
+    negative budget raises ValueError."""
     _check_budget(budget_seconds)
-    t0 = time.time()
+    t0 = time.monotonic()
     rep = Report("pi3-search-in-f4")
     rep.set("max_size", max_size)
     classes: dict[tuple[int, int], int] = {}
-    reps: dict[tuple[int, int], Term] = {}
     nterms = 0
-    for key in _f4_keys(max_size, reps):
+    for key in _f4_keys(max_size):
         nterms += 1
         classes[key] = classes.get(key, 0) + 1
-        if budget_seconds is not None and time.time() - t0 > budget_seconds:
+        if budget_seconds is not None and time.monotonic() - t0 > budget_seconds:
             rep.set("terms_seen", nterms)
             rep.status = INCONCLUSIVE
             rep.set("stopped", "during term enumeration")
@@ -589,35 +580,30 @@ def search_pi3_in_f4(max_size: int = 4,
     rep.set("mask_classes", len(classes))
     rep.set("triples_represented", comb(nterms + 2, 3))
 
-    keys = sorted(classes)
+    cases = (Report("case1-interval-form"), Report("case2-singleton-form"))
+    reps: dict[tuple[int, int], Term] = {}
     valid = 0
-    hits1 = hits2 = 0
-    case1 = Report("case1-interval-form")
-    case2 = Report("case2-singleton-form")
-    for key_triple in itertools.combinations_with_replacement(keys, 3):
-        ok, c1, c2 = _triple_verdict(key_triple)
+    stopped = False
+    for key_triple in itertools.combinations_with_replacement(sorted(classes), 3):
+        ok, *conditions = _triple_verdict(key_triple)
         if not ok:
             continue
         valid += 1
-        if c1 is not None:
-            hits1 += 1
-            case1.add_line(keys=repr(key_triple), condition=c1,
-                           witness=[print_term(reps[k]) for k in key_triple])
-        if c2 is not None:
-            hits2 += 1
-            case2.add_line(keys=repr(key_triple), condition=c2,
-                           witness=[print_term(reps[k]) for k in key_triple])
-        if budget_seconds is not None and time.time() - t0 > budget_seconds:
+        for case, c in zip(cases, conditions):
+            if c is not None:
+                reps = reps or _f4_witnesses(max_size)
+                case.add_line(keys=repr(key_triple), condition=c,
+                              witness=[print_term(reps[k]) for k in key_triple])
+        if budget_seconds is not None and time.monotonic() - t0 > budget_seconds:
             rep.status = INCONCLUSIVE
             rep.set("stopped", "during triple scan")
+            stopped = True
             break
-    case1.set("covering_triples", hits1)
-    case1.status = PASS if hits1 == 0 else FAIL
-    case2.set("covering_triples", hits2)
-    case2.status = PASS if hits2 == 0 else FAIL
     rep.set("valid_triples_by_class", valid)
-    rep.add_sub(case1)
-    rep.add_sub(case2)
+    for case in cases:
+        case.set("covering_triples", len(case.lines))
+        case.status = FAIL if case.lines else INCONCLUSIVE if stopped else PASS
+        rep.add_sub(case)
     return rep
 
 
@@ -644,29 +630,19 @@ def separate_terms(s: Term, t: Term) -> Report:
     names: set[str] = set()
     _term_names(s, names)
     _term_names(t, names)
-    G = GeneratorSet(tuple(sorted(names)))
-    cands: list[Hom] = []
-    if names <= {"x", "y", "z"}:
-        G = _G3
-        cands.extend([pentagon_hom(), doubled_hom()])
-    tried = 0
-    for h in cands:
-        tried += 1
+    G = _G3 if names <= {"x", "y", "z"} else GeneratorSet(tuple(sorted(names)))
+    named = [pentagon_hom(), doubled_hom()] if G is _G3 else []
+    maps = (Hom(G, L, dict(zip(G.names, images))) for L in catalog()
+            for images in itertools.product(range(L.n), repeat=G.rank))
+    for tried, h in enumerate(itertools.chain(named, maps), 1):
         if h.eval(s) != h.eval(t):
-            return _separation_found(rep, h, s, t, tried)
-    for L in catalog():
-        for images in itertools.product(range(L.n), repeat=G.rank):
-            h = Hom(G, L, dict(zip(G.names, images)))
-            tried += 1
-            if h.eval(s) != h.eval(t):
-                return _separation_found(rep, h, s, t, tried)
+            break
+    else:
+        h = None
     rep.set("homs_tried", tried)
-    rep.status = INCONCLUSIVE
-    return rep
-
-
-def _separation_found(rep: Report, h: Hom, s: Term, t: Term, tried: int) -> Report:
-    rep.set("homs_tried", tried)
+    if h is None:
+        rep.status = INCONCLUSIVE
+        return rep
     rep.set("lattice", h.target.name)
     rep.set("images", [f"{n}={h.target.labels[h.images[n]]}"
                        for n in h.gens.names])

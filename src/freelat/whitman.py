@@ -41,19 +41,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .terms import (
-    GEN,
-    JOIN,
-    MEET,
-    GeneratorSet,
-    Term,
-    _node,
-    enumerate_terms,
-    gen,
-    node_key,
-    substitute,
-    term_key,
-)
+from .terms import GEN, JOIN, MEET, Term, _node, node_key, term_key
 
 _LEQ: dict[tuple[Term, Term], bool] = {}
 
@@ -174,23 +162,3 @@ def generates_free(terms: Sequence[Term]) -> bool:
         raise ValueError(f"need exactly four terms, got {len(ts)}")
     return not ni_predicate(ts)
 
-
-def fixed_point_search(p: Term, var: str, gens: GeneratorSet,
-                       max_size: int) -> Term | None:
-    """First canonical term w with p[var := w] equal to w, in enumeration
-    order over terms of size <= max_size; None if there is none that small.
-
-    Kept on purpose, though nothing else in the package calls it: it is
-    the F_n side of the fixed-point contrast behind the
-    universal-existential sentence separating F_n from its completion
-    H_n = DM(F_n).  A complete lattice gives every monotone polynomial a
-    least fixed point (Tarski; finlat.tarski_lfp, acceptance check c10);
-    in F_n a fixed point has to be a term, and this looks for one up to a
-    size bound."""
-    base = {n: gen(n) for n in gens.names}
-    for w in enumerate_terms(gens, max_size):
-        amap = dict(base)
-        amap[var] = w
-        if equal(substitute(p, amap), w):
-            return w
-    return None

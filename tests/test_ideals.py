@@ -35,7 +35,7 @@ def test_chain_indexing_saturates():
 
 
 def test_members_and_witnesses():
-    Y = ChainIdeal("Y", lambda k: yz_chains(k)[0], budget=4)
+    Y = ChainIdeal("Y", [yz_chains(k)[0] for k in range(5)], budget=4)
     ans = ideal_member(Y, t("y"))
     assert ans and ans.witness == (0,)
     ans = ideal_member(Y, t("y+x*z"))
@@ -52,8 +52,9 @@ def test_join_members():
     assert ans and ans.witness == (0, 0)
     assert not join_member(X, Y, t("z"))
     # the shallow-first witness: y[1] needs depth 1 on the Y side
-    Yc = ChainIdeal("Y", lambda k: yz_chains(k)[0], budget=3)
-    Zc = ChainIdeal("Z", lambda k: yz_chains(k)[1], budget=3)
+    ys, zs = zip(*map(yz_chains, range(4)))
+    Yc = ChainIdeal("Y", ys, budget=3)
+    Zc = ChainIdeal("Z", zs, budget=3)
     ans = join_member(Yc, Zc, t("x*(y+z)"))
     assert ans and ans.witness == (0, 0)
 

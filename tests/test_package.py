@@ -7,12 +7,10 @@ import freelat
 
 PKG = Path(freelat.__file__).parent
 
-# kept with no caller in the package: the README's fixed-point contrast
-# uses fixed_point_search and tarski_lfp, acceptance check c10 uses
+# kept with no caller in the package: acceptance check c10 uses
 # tarski_lfp, find_isomorphism and extended_catalog (builtin_lattice
 # builds only the lattice it names, so it no longer walks the catalog)
-KEEP = {"fixed_point_search", "tarski_lfp", "find_isomorphism",
-        "extended_catalog"}
+KEEP = {"tarski_lfp", "find_isomorphism", "extended_catalog"}
 
 
 def test_every_public_function_and_class_has_a_caller_in_the_package():

@@ -1,6 +1,7 @@
 """The batch commands of the benchmark, run in process through cli.run,
 must print exactly what perfbench/expected/ holds and exit as expected;
-the lattice commands must print exactly what tests/data/ holds.
+the lattice and report commands must print exactly what tests/data/
+holds.
 
 This makes records identity part of the plain test run, so a refactor
 that changes a report shows up here first.  The files are only read.
@@ -54,5 +55,27 @@ LATTICE_COMMANDS = [
 @pytest.mark.parametrize("argv,code,expected", LATTICE_COMMANDS,
                          ids=[c[2].removesuffix(".out") for c in LATTICE_COMMANDS])
 def test_lattice_output_matches_expected(argv, code, expected, capsys):
+    assert run(argv) == code
+    assert capsys.readouterr().out.encode() == (DATA / expected).read_bytes()
+
+
+# the reports whose code paths have more than one way to an answer
+REPORT_COMMANDS = [
+    (["verify", "pi3-f4", "--max-size", "4", "--format", "records"], 0,
+     "pi3-f4-size4.out"),
+    (["verify", "separate", "x", "y", "--format", "records"], 0, "separate-x-y.out"),
+    (["verify", "separate", "a", "a+b", "-g", "a,b", "--format", "records"], 0,
+     "separate-a-ab.out"),
+    # no catalog map separates this pair, so the search ends inconclusive
+    (["verify", "separate", "x*(y+z*(y+x*(y+z)))", "x*(y+z*(x+y))",
+      "--format", "records"], 1, "separate-inconclusive.out"),
+    (["idealdm", "sd-fail", "--budget", "8", "--format", "records"], 0,
+     "idealdm-sd-fail-8.out"),
+]
+
+
+@pytest.mark.parametrize("argv,code,expected", REPORT_COMMANDS,
+                         ids=[c[2].removesuffix(".out") for c in REPORT_COMMANDS])
+def test_report_output_matches_expected(argv, code, expected, capsys):
     assert run(argv) == code
     assert capsys.readouterr().out.encode() == (DATA / expected).read_bytes()

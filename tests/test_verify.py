@@ -403,6 +403,9 @@ def test_f3_budget_stops_early():
     assert rep.status == INCONCLUSIVE
     assert rep.data["stopped"] == "during tuple search at term 0 of 121"
     assert rep.data["tuples_surviving_pair_filters"] == 0
+    # stopped before it looked at a tuple, the search has not shown that
+    # no tuple is free
+    assert rep.data["vacuous"] is False
 
 
 def test_f3_budget_is_read_inside_a_first_member(monkeypatch):
@@ -412,7 +415,7 @@ def test_f3_budget_is_read_inside_a_first_member(monkeypatch):
     # 0's 827 surviving tuples counted
     assert verify._TRIPLES_PER_READ == 256
     reads = itertools.count()
-    fake = types.SimpleNamespace(time=lambda: 0.0 if next(reads) < 3 else 1e9)
+    fake = types.SimpleNamespace(monotonic=lambda: 0.0 if next(reads) < 3 else 1e9)
     monkeypatch.setattr(verify, "time", fake)
     rep = check_pi3_in_f3(5, budget_seconds=5.0)
     assert rep.status == INCONCLUSIVE
@@ -603,23 +606,22 @@ def test_f4_covering_triple_fails_report_and_cli(monkeypatch, capsys):
         "claim=pi3-search-in-f4 status=fail\n")
 
 
-def _oracle_f4_keys(max_size, reps):
+def _oracle_f4_keys(max_size):
     """Oracle for verify._f4_keys: every term built by enumerate_terms,
-    keyed by _mask_keys, the first of each class its representative."""
-    for t, key in _mask_keys(_G4, enumerate_terms(_G4, max_size)):
-        reps.setdefault(key, t)
+    keyed by _mask_keys."""
+    for _, key in _mask_keys(_G4, enumerate_terms(_G4, max_size)):
         yield key
 
 
 @pytest.mark.parametrize("max_size", range(6))
 def test_f4_keys_match_the_build_every_term_oracle(max_size):
-    reps = {}
-    counts = collections.Counter(verify._f4_keys(max_size, reps))
-    want_reps = {}
-    want = collections.Counter(_oracle_f4_keys(max_size, want_reps))
+    counts = collections.Counter(verify._f4_keys(max_size))
+    want = collections.Counter(_oracle_f4_keys(max_size))
     assert counts == want
-    assert reps == want_reps
-    # up to size 3, some classes are first seen at the last size
+    # up to size 3, some classes are first seen at the last size, so
+    # their witnesses are terms _f4_keys never builds
+    reps = verify._f4_witnesses(max_size)
+    assert reps.keys() == want.keys()
     assert any(t.size == max_size for t in reps.values()) == (max_size <= 3)
     rep = search_pi3_in_f4(max_size)
     assert rep.data["terms"] == sum(want.values())
@@ -638,13 +640,39 @@ def test_f4_covering_report_matches_the_oracle_path(monkeypatch, max_size):
     assert sum(r.startswith("sub0 line ") for r in got) == (80, 96)[max_size - 1]
 
 
+def test_f4_pass_builds_no_witness(monkeypatch):
+    def no_witnesses(max_size):
+        raise AssertionError("witnesses built for a search with no hit")
+
+    monkeypatch.setattr(verify, "_f4_witnesses", no_witnesses)
+    rep = search_pi3_in_f4(5)
+    assert rep.status == PASS
+    assert rep.data["valid_triples_by_class"] == 97
+
+
+def test_f4_cases_cut_short_are_inconclusive(monkeypatch):
+    # the clock runs out on the read after the third valid triple, once
+    # all 70 terms of size <= 2 are keyed; no triple covers by then
+    reads = itertools.count()
+    fake = types.SimpleNamespace(
+        monotonic=lambda: 0.0 if next(reads) < 1 + 70 + 2 else 1e9)
+    monkeypatch.setattr(verify, "time", fake)
+    rep = search_pi3_in_f4(2, budget_seconds=5.0)
+    assert rep.status == INCONCLUSIVE
+    assert rep.data["stopped"] == "during triple scan"
+    assert rep.data["valid_triples_by_class"] == 3
+    for sub in rep.subs:
+        assert sub.status == INCONCLUSIVE
+        assert sub.data["covering_triples"] == 0
+
+
 def test_f4_budget_is_read_inside_the_last_size(monkeypatch):
     # the clock runs out on the read after the fifth term of size 2, the
     # last size, which is never built
     below = len(list(enumerate_terms(_G4, 1)))
     reads = itertools.count()
     fake = types.SimpleNamespace(
-        time=lambda: 0.0 if next(reads) < below + 5 else 1e9)
+        monotonic=lambda: 0.0 if next(reads) < below + 5 else 1e9)
     monkeypatch.setattr(verify, "time", fake)
     rep = search_pi3_in_f4(2, budget_seconds=5.0)
     assert rep.status == INCONCLUSIVE

@@ -24,7 +24,6 @@ from freelat.terms import (
 from freelat.whitman import (
     canonical_form,
     equal,
-    fixed_point_search,
     generates_free,
     leq,
     ni_predicate,
@@ -269,17 +268,6 @@ def test_intervals():
     assert not inside(X, *iv)          # x is strictly below the low end
     assert inside(t("x+y*z*(x+z)"), *iv)
     assert not leq(t("x+y"), X)        # an empty interval
-
-
-def test_fixed_point_search():
-    p = parse_term("z*(x+y*v)", GeneratorSet(("x", "y", "z", "v")))
-    assert fixed_point_search(p, "v", G, 0) is None
-    w = fixed_point_search(p, "v", G, 3)
-    assert w is not None
-    amap = {"x": X, "y": Y, "z": Z, "v": w}
-    from freelat.terms import substitute
-    assert equal(substitute(p, amap), w)
-    assert print_term(w) == "x*z"
 
 
 # Two generator sets interned interleaved, the second in reverse, so the
