@@ -15,9 +15,9 @@ alpha(a)]; classes partition the free lattice when both sides exist.
 
 Maps on one target object with the same set of images share one image
 sublattice, kept on the target (finlat.generated_sublattice); a map's
-dual reads the dual of that sublattice instead of generating it again
-on the dual target.  Each map keeps its beta and alpha answers, at most
-one of each per image element.
+dual is handed the dual of that sublattice instead of generating it
+again on the dual target.  Each map keeps its beta and alpha answers,
+at most one of each per image element.
 """
 
 from __future__ import annotations
@@ -80,8 +80,12 @@ class Hom:
         return self._sub
 
     def dual(self) -> "Hom":
+        """The same images on the dual target.  Its image sublattice is the
+        dual of this map's, and its own dual is this map."""
         if self._dualh is None:
-            self._dualh = Hom(self.gens, self.target.dual(), self.images)
+            d = self._dualh = Hom(self.gens, self.target.dual(), self.images)
+            S, to_target, to_sub = self.image_sublattice()
+            d._sub, d._dualh = (S.dual(), to_target, to_sub), self
         return self._dualh
 
 

@@ -139,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       ("double", "double a convex subset"),
                       ("drank", "print dependency ranks both ways"),
                       ("sd", "check both semidistributive laws"),
-                      ("w", "check the minimal-cover refinement law")]:
+                      ("w", "check Whitman's condition (W)")]:
         sp = lat.add_parser(name, help=hlp)
         sp.add_argument("lattice", help="FILE or builtin:NAME")
         if name in ("dot", "dm", "double"):

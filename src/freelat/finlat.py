@@ -249,11 +249,9 @@ def generated_sublattice(L: FiniteLattice, elems: Iterable[int]
     of L in increasing order, and the reverse index map.
 
     Kept on L per generating set and per generated set, so generating
-    sets with the same closure share one answer.  When L's dual already
-    holds the sublattice of the same set, the answer is that
-    sublattice's dual, so the two sides share one object pair."""
+    sets with the same closure share one answer."""
     key = frozenset(elems)
-    sub = _held_sublattice(L, key)
+    sub = L._subs.get(key)
     if sub is None:
         gen = set(key)
         frontier = list(gen)
@@ -267,31 +265,13 @@ def generated_sublattice(L: FiniteLattice, elems: Iterable[int]
                             fresh.append(c)
             frontier = fresh
         closed = frozenset(gen)
-        sub = _held_sublattice(L, closed)
+        sub = L._subs.get(closed)
         if sub is None:
             to_L = sorted(gen)
-            up = []
-            for a in to_L:
-                row = 0
-                for j, b in enumerate(to_L):
-                    if L.leq(a, b):
-                        row |= 1 << j
-                up.append(row)
+            up = [sum(1 << j for j, b in enumerate(to_L) if L.leq(a, b)) for a in to_L]
             S = FiniteLattice(up, [L.labels[a] for a in to_L], L.name + ".im")
             sub = L._subs[closed] = (S, to_L, {a: i for i, a in enumerate(to_L)})
         L._subs[key] = sub
-    return sub
-
-
-def _held_sublattice(L: FiniteLattice, key: frozenset[int]
-                     ) -> tuple[FiniteLattice, list[int], dict[int, int]] | None:
-    """The sublattice kept on L for key, else the dual of the one kept on
-    L's dual, which is then kept on L too."""
-    sub = L._subs.get(key)
-    if sub is None and L._dual is not None:
-        other = L._dual._subs.get(key)
-        if other is not None:
-            sub = L._subs[key] = (other[0].dual(), other[1], other[2])
     return sub
 
 

@@ -22,12 +22,11 @@ from .bhom import Hom, kernel_table
 from .builders import (
     build_a,
     build_fd3,
-    catalog,
     doubled_hom,
     fd3_doubling_targets,
     pentagon_hom,
 )
-from .finlat import _bits, d_rank, d_rank_op
+from .finlat import FinitePoset, _bits, d_rank, d_rank_op, dm_completion
 from .reporting import FAIL, INCONCLUSIVE, PASS, Report
 from .terms import (
     GEN,
@@ -43,8 +42,9 @@ from .terms import (
     parse_term,
     print_term,
     substitute,
+    term_key,
 )
-from .whitman import canonical_form, equal
+from .whitman import canonical_form, equal, leq
 
 _G3 = GeneratorSet(("x", "y", "z"))
 
@@ -287,7 +287,8 @@ class _F3Search:
             row.append(col)
         return row
 
-    def pair_tables(self) -> tuple[list[int], list[list[int]]]:
+    def pair_tables(self, out_of_time: Callable[[int], bool] = lambda a: False
+                    ) -> tuple[list[int], list[list[int]]]:
         """(compat, bounded), from each term's join_row here and on dual.
 
         compat[a] has bit b set iff pool[a] and pool[b] may sit in one
@@ -298,10 +299,15 @@ class _F3Search:
 
         bounded[a][b] has bit c set iff pool[b] lies under pool[a] +
         pool[c] or over pool[a] * pool[c], so no free tuple holds all
-        three."""
+        three.
+
+        out_of_time is asked before each term's rows, and the tables stop
+        short at the first term it answers true for."""
         gens = [g for g in range(self.n) if self.kind[g] == GEN]
         every, compat, bounded = self.every, [], []
         for a, (down, up) in enumerate(zip(self.below, self.dual.below)):
+            if out_of_time(a):
+                break
             q, qd = self.join_row(a), self.dual.join_row(a)
             top = functools.reduce(operator.and_, (q[g] for g in gens), every)
             bottom = functools.reduce(operator.and_, (qd[g] for g in gens), every)
@@ -385,15 +391,25 @@ def _cover_free_quads(rep: Report, S: _F3Search, t0: float,
     conditions, then leq_join_bits against the other three members,
     clear the rest, so exactly the free quads are kept.
 
-    With a budget the clock is read at each first member and every
-    _TRIPLES_PER_READ triples; a search cut short is inconclusive unless
-    a free quad it found is uncovered."""
+    With a budget the clock is read before each term's table rows, at
+    each first member and every _TRIPLES_PER_READ triples; a search cut
+    short is inconclusive unless a free quad it found is uncovered."""
     n = S.n
     rep.set("terms", n)
     names, member = _coverage_tables(S.pool)
     unions = _union_checks(names)
-    compat, bounded = S.pair_tables()
-    rep.set("compatible_pairs", sum(c.bit_count() for c in compat) // 2)
+
+    def out_of_time(i: int, phase: str = "tuple search") -> bool:
+        if budget_seconds is None or time.monotonic() - t0 <= budget_seconds:
+            return False
+        rep.set("stopped", f"during {phase} at term {i} of {n}")
+        return True
+
+    # the tables stop short if the clock runs out while they are built
+    compat, bounded = S.pair_tables(lambda a: out_of_time(a, "table build"))
+    stopped = len(compat) < n
+    if not stopped:
+        rep.set("compatible_pairs", sum(c.bit_count() for c in compat) // 2)
     D = S.dual
 
     # free quads are classified as they are found and not kept: every
@@ -402,16 +418,8 @@ def _cover_free_quads(rep: Report, S: _F3Search, t0: float,
     first: list[tuple[tuple[int, ...], str | None]] = []
     uncovered = []
     checked = free = triples = 0
-
-    def out_of_time(i: int) -> bool:
-        if budget_seconds is None or time.monotonic() - t0 <= budget_seconds:
-            return False
-        rep.set("stopped", f"during tuple search at term {i} of {n}")
-        return True
-
-    stopped = False
     for i in range(n):
-        if stopped := out_of_time(i):
+        if stopped or (stopped := out_of_time(i)):
             break
         Pi = bounded[i]
         ci = compat[i] >> (i + 1) << (i + 1)
@@ -607,46 +615,50 @@ def search_pi3_in_f4(max_size: int = 4,
     return rep
 
 
-def _term_names(t: Term, acc: set[str]) -> None:
-    """Add the generator names in t to acc.  The walk keeps an explicit
-    stack, so nesting depth is not bounded by Python's recursion limit."""
-    stack = [t]
+def _subterms(*terms: Term) -> tuple[set[Term], list[str]]:
+    """Every subterm of terms, and the generator names among them,
+    sorted.  The walk keeps an explicit stack, so any depth is handled."""
+    seen: set[Term] = set()
+    stack = list(terms)
     while stack:
         u = stack.pop()
-        if u.kind == GEN:
-            acc.add(u.name)
-        stack.extend(u.ops)
+        if u not in seen:
+            seen.add(u)
+            stack.extend(u.ops)
+    return seen, sorted(u.name for u in seen if u.kind == GEN)
 
 
 def separate_terms(s: Term, t: Term) -> Report:
-    """Find a finite quotient telling two inequivalent terms apart: the
-    pentagon map and the doubled map first, then every assignment into
-    every catalog lattice, in catalog order."""
+    """Tell two inequivalent terms apart by a map onto the completion by
+    cuts of the order of their subterms' canonical forms, each generator
+    sent to its principal cut.  This is exact: a join subterm's form is
+    the least upper bound of its operands' forms in that order, dually
+    for a meet, and the completion keeps every join and meet the order
+    has (Davey and Priestley, Introduction to Lattices and Order, ch. 7),
+    so by induction each subterm goes to the cut of its form.  Over
+    dm_completion's element cap the answer is inconclusive."""
     if equal(s, t):
         raise ValueError("terms are equal; nothing separates them")
     rep = Report("separate-terms")
     rep.set("s", s)
     rep.set("t", t)
-    names: set[str] = set()
-    _term_names(s, names)
-    _term_names(t, names)
-    G = _G3 if names <= {"x", "y", "z"} else GeneratorSet(tuple(sorted(names)))
-    named = [pentagon_hom(), doubled_hom()] if G is _G3 else []
-    maps = (Hom(G, L, dict(zip(G.names, images))) for L in catalog()
-            for images in itertools.product(range(L.n), repeat=G.rank))
-    for tried, h in enumerate(itertools.chain(named, maps), 1):
-        if h.eval(s) != h.eval(t):
-            break
-    else:
-        h = None
-    rep.set("homs_tried", tried)
-    if h is None:
+    subs, names = _subterms(s, t)
+    forms = sorted({canonical_form(u) for u in subs}, key=term_key)
+    rep.set("subterm_forms", len(forms))
+    up = [sum(1 << j for j, v in enumerate(forms) if leq(u, v)) for u in forms]
+    P = FinitePoset(up, [print_term(u) for u in forms], "subterms")
+    try:
+        L, emb = dm_completion(P)
+    except ValueError as e:   # over the element cap
+        rep.set("stopped", str(e))
         rep.status = INCONCLUSIVE
         return rep
-    rep.set("lattice", h.target.name)
-    rep.set("images", [f"{n}={h.target.labels[h.images[n]]}"
-                       for n in h.gens.names])
-    rep.set("s_value", h.target.labels[h.eval(s)])
-    rep.set("t_value", h.target.labels[h.eval(t)])
-    rep.status = PASS
+    cut = dict(zip(forms, emb))
+    h = Hom(GeneratorSet(tuple(names)), L, {n: cut[gen(n)] for n in names})
+    rep.set("lattice_size", L.n)
+    rep.set("images", [f"{n}={L.labels[h.images[n]]}" for n in names])
+    sv, tv = h.eval(s), h.eval(t)
+    rep.set("s_value", L.labels[sv])
+    rep.set("t_value", L.labels[tv])
+    rep.status = PASS if sv != tv else FAIL
     return rep

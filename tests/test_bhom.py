@@ -223,8 +223,10 @@ def test_maps_share_one_sublattice_per_target_and_image_set():
     S = h.image_sublattice()[0]
     assert Hom(G, N5, {"x": a, "y": c, "z": b}).image_sublattice()[0] is S
     assert Hom(G, N5, {"x": a, "y": a, "z": b}).image_sublattice()[0] is not S
-    assert h.dual().image_sublattice()[0] is S.dual()
-    assert Hom(G, N5.dual(), h.images).image_sublattice()[0] is S.dual()
+    assert h.dual().image_sublattice()[0] is S.dual() and h.dual().dual() is h
+    assert Hom(G, N5, {"x": b, "y": a, "z": c}).dual().image_sublattice()[0] is S.dual()
+    # a map built on the dual target itself generates its own sublattice
+    assert Hom(G, N5.dual(), h.images).image_sublattice()[0] is not S.dual()
     # the dual side first: the target side reads its dual back
     M = m3()
     k = Hom(G, M, {"x": M.bottom, "y": M.index_of("a"), "z": M.index_of("b")})
@@ -243,10 +245,10 @@ def test_image_sets_with_one_closure_share_one_sublattice():
     # {a, b} and {a, b, 1} both generate {0, a, b, 1}
     assert S.labels == ["0", "a", "b", "1"]
     assert Hom(G, N5, {"x": a, "y": b, "z": N5.top}).image_sublattice()[0] is S
-    # on the dual target, {a, b, 0} generates the same set
-    k = Hom(G, N5.dual(), {"x": a, "y": b, "z": N5.bottom})
-    assert k.image_sublattice()[0] is S.dual()
-    assert k.dual().image_sublattice()[0] is S
+    # so do {a, b, 0}, and the dual of that map reads the dual
+    k = Hom(G, N5, {"x": a, "y": b, "z": N5.bottom})
+    assert k.image_sublattice()[0] is S
+    assert k.dual().image_sublattice()[0] is S.dual()
 
 
 class WeakTarget(FiniteLattice):

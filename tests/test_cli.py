@@ -313,7 +313,7 @@ def test_verify_pi3_f3_budget_exits_1(capsys):
                 "--format", "records"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("claim=pi3-coverage-in-f3 status=inconclusive-budget")
-    assert "data stopped=during_tuple_search_at_term_0_of_121" in out
+    assert "data stopped=during_table_build_at_term_0_of_121" in out
 
 
 @pytest.mark.parametrize("budget, code", [
@@ -335,7 +335,8 @@ def test_verify_pi3_f4_budget_values(budget, code, capsys):
 
 def test_verify_separate(capsys):
     assert run(["verify", "separate", "x", "y", "--format", "records"]) == 0
-    assert "lattice=pentagon" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "lattice_size=4" in out and "images=x=x,y=y" in out
     assert run(["verify", "separate", "x*(y+z)", "x*(z+y)"]) == 2
     assert "nothing separates" in capsys.readouterr().err
 
@@ -348,6 +349,11 @@ def test_global_jobs_and_seed_flags_are_usage_errors(capsys):
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     assert "freelat" in capsys.readouterr().out
+
+
+def test_lat_help_names_whitmans_condition(capsys):
+    assert run(["lat", "--help"]) == 0
+    assert "(W)" in capsys.readouterr().out
 
 
 def test_one_parser_serves_a_mixed_sequence_of_runs(capsys):

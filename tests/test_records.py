@@ -66,11 +66,16 @@ REPORT_COMMANDS = [
     (["verify", "separate", "x", "y", "--format", "records"], 0, "separate-x-y.out"),
     (["verify", "separate", "a", "a+b", "-g", "a,b", "--format", "records"], 0,
      "separate-a-ab.out"),
-    # no catalog map separates this pair, so the search ends inconclusive
+    # no map onto a catalog lattice separates this pair, so a search over
+    # those maps ended inconclusive; the completion of its subterm order
+    # does, with 17 elements
     (["verify", "separate", "x*(y+z*(y+x*(y+z)))", "x*(y+z*(x+y))",
-      "--format", "records"], 1, "separate-inconclusive.out"),
+      "--format", "records"], 0, "separate-inconclusive.out"),
     (["idealdm", "sd-fail", "--budget", "8", "--format", "records"], 0,
      "idealdm-sd-fail-8.out"),
+    (["verify", "pi3-f3", "--max-size", "6", "--format", "records"], 0,
+     "pi3-f3-size6.out"),
+    (["enum", "--max-size", "6"], 0, "enum-size6.out"),
 ]
 
 

@@ -11,7 +11,7 @@ from freelat import verify
 from freelat.bhom import kernel_table
 from freelat.builders import doubled_hom
 from freelat.cli import run
-from freelat.finlat import _bits
+from freelat.finlat import FinitePoset, _bits, dm_completion
 from freelat.reporting import FAIL, INCONCLUSIVE, PASS, Report
 from freelat.terms import (
     GEN,
@@ -20,6 +20,7 @@ from freelat.terms import (
     GeneratorSet,
     dual_term,
     enumerate_terms,
+    evaluate,
     gen,
     join,
     meet,
@@ -33,7 +34,7 @@ from freelat.verify import (
     _coverage_tables,
     _F3Search,
     _mask_keys,
-    _term_names,
+    _subterms,
     _triple_verdict,
     _union_checks,
     check_pi3_in_f3,
@@ -401,22 +402,47 @@ def test_f3_vacuous_below_size_five():
 def test_f3_budget_stops_early():
     rep = check_pi3_in_f3(5, budget_seconds=0.0)
     assert rep.status == INCONCLUSIVE
-    assert rep.data["stopped"] == "during tuple search at term 0 of 121"
+    assert rep.data["stopped"] == "during table build at term 0 of 121"
+    assert "compatible_pairs" not in rep.data
     assert rep.data["tuples_surviving_pair_filters"] == 0
     # stopped before it looked at a tuple, the search has not shown that
     # no tuple is free
     assert rep.data["vacuous"] is False
 
 
+def fake_clock(monkeypatch, in_time):
+    """Replace verify's clock by one that reads 0 for its first in_time
+    reads and then far past any budget; returns the read counter."""
+    reads = itertools.count()
+    fake = types.SimpleNamespace(
+        monotonic=lambda: 0.0 if next(reads) < in_time else 1e9)
+    monkeypatch.setattr(verify, "time", fake)
+    return reads
+
+
+def test_f3_budget_is_read_between_table_rows(monkeypatch):
+    # the start read and the reads before rows 0 to 49 are in time
+    fake_clock(monkeypatch, 1 + 50)
+    rep = check_pi3_in_f3(5, budget_seconds=5.0)
+    assert rep.status == INCONCLUSIVE
+    assert rep.data["stopped"] == "during table build at term 50 of 121"
+    assert rep.data["vacuous"] is False
+
+
+def test_f3_clock_is_read_only_with_a_budget(monkeypatch):
+    reads = fake_clock(monkeypatch, 10**9)
+    assert check_pi3_in_f3(4).status == PASS
+    assert next(reads) == 1   # the start time only
+
+
 def test_f3_budget_is_read_inside_a_first_member(monkeypatch):
-    # a fake clock that runs out after the search has read it at the
+    # a fake clock that runs out after the start read, one read before
+    # each of the 121 terms' table rows, and the search's reads at the
     # start of term 0 and after its first 256 (i, k, l) triples: the
     # next read, after 512 triples, stops the search with 127 of term
     # 0's 827 surviving tuples counted
     assert verify._TRIPLES_PER_READ == 256
-    reads = itertools.count()
-    fake = types.SimpleNamespace(monotonic=lambda: 0.0 if next(reads) < 3 else 1e9)
-    monkeypatch.setattr(verify, "time", fake)
+    fake_clock(monkeypatch, 3 + 121)
     rep = check_pi3_in_f3(5, budget_seconds=5.0)
     assert rep.status == INCONCLUSIVE
     assert rep.data["stopped"] == "during tuple search at term 0 of 121"
@@ -680,12 +706,14 @@ def test_f4_budget_is_read_inside_the_last_size(monkeypatch):
     assert rep.data["terms_seen"] == below + 5
 
 
-def test_separate_generators_uses_pentagon():
+def test_separate_generators_by_their_principal_cuts():
     rep = separate_terms(gen("x"), gen("y"))
     assert rep.status == PASS
-    assert rep.data["homs_tried"] == 1
-    assert rep.data["lattice"] == "pentagon"
-    assert rep.data["s_value"] != rep.data["t_value"]
+    # x and y are incomparable: the completion adds a bottom and a top
+    assert rep.data["subterm_forms"] == 2
+    assert rep.data["lattice_size"] == 4
+    assert rep.data["images"] == ["x=x", "y=y"]
+    assert (rep.data["s_value"], rep.data["t_value"]) == ("x", "y")
 
 
 def test_separate_medians():
@@ -693,8 +721,9 @@ def test_separate_medians():
     M = canonical_form(parse_term("(x+y)(x+z)(y+z)", _G3))
     rep = separate_terms(m, M)
     assert rep.status == PASS
-    assert rep.data["homs_tried"] == 1
-    assert rep.data["lattice"] == "pentagon"
+    assert rep.data["images"] == ["x=x", "y=y", "z=z"]
+    # each term goes to the principal cut of its canonical form
+    assert (rep.data["s_value"], rep.data["t_value"]) == (print_term(m), print_term(M))
 
 
 def test_separate_other_generator_names():
@@ -703,7 +732,85 @@ def test_separate_other_generator_names():
     t = canonical_form(parse_term("a+b", G))
     rep = separate_terms(s, t)
     assert rep.status == PASS
-    assert rep.data["homs_tried"] > 1
+    assert rep.data["images"] == ["a=a", "b=b"]
+    assert (rep.data["s_value"], rep.data["t_value"]) == ("a", "a+b")
+
+
+def rebuilt_witness(s, t, rep):
+    """The completion of the order of s's and t's subterm forms, built
+    again here with the forms in print order, the reported images looked
+    up in it by label, and the subterms."""
+    subs, _ = _subterms(s, t)
+    forms = sorted({canonical_form(u) for u in subs}, key=print_term)
+    up = [sum(1 << j for j, v in enumerate(forms) if leq(u, v)) for u in forms]
+    L, _ = dm_completion(FinitePoset(up, [print_term(u) for u in forms]))
+    images = dict(im.split("=") for im in rep.data["images"])
+    return L, {n: L.index_of(lbl) for n, lbl in images.items()}, sorted(subs, key=print_term)
+
+
+def assert_separated(s, t, rng):
+    rep = separate_terms(s, t)
+    assert rep.status == PASS
+    L, images, subs = rebuilt_witness(s, t, rep)
+    assert L.n == rep.data["lattice_size"] <= 4096
+    sv, tv = evaluate(s, L, images), evaluate(t, L, images)
+    assert sv != tv
+    assert (L.labels[sv], L.labels[tv]) == (rep.data["s_value"], rep.data["t_value"])
+    # the map is an order embedding on the subterms
+    for _ in range(8):
+        u, v = rng.choice(subs), rng.choice(subs)
+        assert L.leq(evaluate(u, L, images), evaluate(v, L, images)) == leq(u, v)
+
+
+def random_term(rng, names, size):
+    if size == 0:
+        return gen(rng.choice(names))
+    k = rng.randrange(size)
+    op = rng.choice((join, meet))
+    return op(random_term(rng, names, k), random_term(rng, names, size - 1 - k))
+
+
+def test_separate_is_exact_on_seeded_pairs():
+    rng = random.Random(SEED)
+    # over x, y, z: comparable and arbitrary pairs of canonical terms up
+    # to size 6, the pairs the map search could leave inconclusive
+    pool = list(enumerate_terms(_G3, 6))
+    comparable = [(s, t) for s in pool for t in pool if s is not t and leq(s, t)]
+    pairs = rng.sample(comparable, 150)
+    while len(pairs) < 300:
+        s, t = rng.sample(pool, 2)
+        pairs.append((s, t))
+    # over four generators: terms as built, not canonical, and their
+    # joins and meets, so half the pairs are comparable
+    names = ["x1", "x2", "x3", "x4"]
+    while len(pairs) < 600:
+        s, t = (random_term(rng, names, rng.randint(0, 5)) for _ in range(2))
+        s, t = rng.choice([(s, t), (s, join(s, t)), (meet(s, t), s)])
+        if not leq(s, t) or not leq(t, s):
+            pairs.append((s, t))
+    for s, t in pairs:
+        assert_separated(s, t, rng)
+
+
+@pytest.mark.parametrize("s, t", [("x*(y+z*(y+x*(y+z)))", "x*(y+z*(x+y))"),
+                                  ("z+y*(x+y*(z+x*y))", "z+y*(x+y*z)")])
+def test_separate_pairs_no_catalog_map_told_apart(s, t, capsys):
+    assert run(["verify", "separate", s, t, "--format", "records"]) == 0
+    out = capsys.readouterr().out
+    assert "status=pass" in out and "lattice_size=17" in out
+
+
+def test_separate_over_the_completion_cap_is_inconclusive(monkeypatch, capsys):
+    def refuse(P):
+        raise ValueError(f"{P.name}: completion exceeds 4096 elements")
+
+    monkeypatch.setattr(verify, "dm_completion", refuse)
+    rep = separate_terms(gen("x"), gen("y"))
+    assert rep.status == INCONCLUSIVE
+    assert rep.data["stopped"] == "subterms: completion exceeds 4096 elements"
+    assert "lattice_size" not in rep.data
+    assert run(["verify", "separate", "x", "y", "--format", "records"]) == 1
+    assert "stopped=subterms:_completion_exceeds_4096_elements" in capsys.readouterr().out
 
 
 def test_separate_equal_terms_rejected():
@@ -737,10 +844,10 @@ def test_below_matrix_standalone():
             assert bool((S.dual.below[i] >> k) & 1) == leq(pool[i], pool[k])
 
 
-def test_term_names_handles_10000_levels():
+def test_subterms_handles_10000_levels():
     t = gen("x")
     for k in range(10000):
         t = join(t, gen("y")) if k % 2 == 0 else meet(t, gen("z"))
-    names = set()
-    _term_names(t, names)
-    assert names == {"x", "y", "z"}
+    subs, names = _subterms(t)
+    assert names == ["x", "y", "z"]
+    assert len(subs) == 10000 + 3
