@@ -6,6 +6,15 @@ shapes that are cheap to check exhaustively.  build_fd3 constructs the
 free distributive lattice on x, y, z without constants, as the 18
 nonconstant monotone Boolean functions; build_a doubles its six
 join-of-atoms / meet-of-coatoms elements one at a time.
+
+fd3 and A (build_fd3() and build_a() in its default order) are built
+once per process and shared by every caller: the figure reports, the
+doubled map and the builtin:fd3 and builtin:A lattices of the command
+line.  A shared lattice is read-only, and the caches finlat keeps on it
+(covers, ranks, its dual, its generated sublattices) live as long as it
+does; the cache_clear of build_fd3 and _default_a drops both.  Every
+other builder, catalog() and extended_catalog() included, and build_a
+with an explicit order, makes a new object on each call.
 """
 
 from __future__ import annotations
@@ -97,6 +106,7 @@ def _dnf_label(table: int) -> str:
     return "+".join(sorted(prods, key=lambda p: (len(p), p)))
 
 
+@functools.cache   # shared and read-only, see the module docstring
 def build_fd3() -> FiniteLattice:
     """Free distributive lattice on x, y, z (no constants): the eighteen
     nonconstant monotone Boolean functions, ordered pointwise.  Labels
@@ -129,14 +139,21 @@ def fd3_doubling_targets(L: FiniteLattice) -> list[int]:
 def build_a(order: list[str] | None = None) -> FiniteLattice:
     """The 24-element lattice from doubling fd3 at its six atom-join /
     coatom-meet elements, one singleton at a time.  The result does not
-    depend on the doubling order; pass one (as labels) to check that."""
-    L = build_fd3()
+    depend on the doubling order; pass one (as labels) to check that.
+    With no order this is the shared A, otherwise a new lattice."""
     if order is None:
-        order = sorted(L.labels[i] for i in fd3_doubling_targets(L))
+        return _default_a()
+    L = build_fd3()
     for k, lbl in enumerate(order):
         last = k == len(order) - 1
         L = double(L, [L.index_of(lbl)], name="A" if last else f"fd3+{k + 1}")
     return L
+
+
+@functools.cache   # shared and read-only, see the module docstring
+def _default_a() -> FiniteLattice:
+    F = build_fd3()
+    return build_a(sorted(F.labels[i] for i in fd3_doubling_targets(F)))
 
 
 def catalog() -> list[FiniteLattice]:
@@ -149,7 +166,7 @@ def extended_catalog() -> list[FiniteLattice]:
     return catalog() + [cube(), hexagon(), grid2x3()]
 
 
-# the extended catalog by name, plus n5, fd3 and A
+# the extended catalog by name, plus n5, fd3 and A; the last two shared
 _BUILTINS = {
     **{f"chain{k}": functools.partial(chain, k) for k in range(1, 6)},
     "diamond": diamond, "diamond_top": diamond_top, "diamond_bot": diamond_bot,
@@ -159,7 +176,10 @@ _BUILTINS = {
 
 
 def builtin_lattice(name: str) -> FiniteLattice:
-    """A fresh copy of the named builtin; only that one is built."""
+    """The named builtin; only that one is built.  fd3 and A are the
+    shared, read-only lattices of build_fd3() and build_a(), made on the
+    first call and kept for the life of the process with their derived
+    caches; every other name gives a new lattice on each call."""
     try:
         make = _BUILTINS[name]
     except KeyError:

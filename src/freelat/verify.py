@@ -206,9 +206,15 @@ class _F3Search:
     search over dual_term of each pool term, at the same indices and with
     the same operand order.  So dual.below[i] has bit k set iff pool[i]
     <= pool[k], and dual.dual is this search.
+
+    out_of_time is asked at every _TERMS_PER_READ-th term of the rows
+    here and on dual.  The build stops at the first term it answers true
+    for, and then built is false and no question may be asked.
     """
 
-    def __init__(self, pool: Iterable[Term], dual: _F3Search | None = None):
+    def __init__(self, pool: Iterable[Term],
+                 out_of_time: Callable[[int], bool] = lambda i: False,
+                 dual: _F3Search | None = None):
         self.pool = list(pool)
         idx = {t: i for i, t in enumerate(self.pool)}
         self.n = n = len(self.pool)
@@ -221,15 +227,20 @@ class _F3Search:
                         for k in range(n) if self.kind[k] != GEN]
         self.below: list[int] = []
         for i, (kind, ops) in enumerate(zip(self.kind, self.ops)):
+            if i and not i % _TERMS_PER_READ and out_of_time(i):
+                break
             bit = 1 << i
             down = [self.below[o] for o in ops]
             # below a meet iff below every meetand
             self.below.append(
                 bit | functools.reduce(operator.and_, down) if kind == MEET
                 else self._down(bit | functools.reduce(operator.or_, down, 0)))
-        # the dual search is passed in only when it builds this one
-        self.dual = (_F3Search((dual_term(t) for t in self.pool), self)
-                     if dual is None else dual)
+        # the dual search is passed in only when it builds this one, and
+        # built only once every row here is
+        if dual is None and len(self.below) == n:
+            dual = _F3Search((dual_term(t) for t in self.pool), out_of_time, self)
+        self.dual = dual
+        self.built = dual is not None and len(self.below) == len(dual.below) == n
 
     def _down(self, col: int) -> int:
         """The pool terms below a generator or a formal join e, given in
@@ -368,18 +379,19 @@ def check_pi3_in_f3(max_size: int = 6,
     t0 = time.monotonic()
     rep = Report("pi3-coverage-in-f3")
     rep.set("max_size", max_size)
-    _cover_free_quads(rep, _F3Search(enumerate_terms(_G3, max_size)),
-                      t0, budget_seconds)
+    _cover_free_quads(rep, enumerate_terms(_G3, max_size), t0, budget_seconds)
     return rep
 
 
-# budget clock reads per (i, k, l) triple of the tuple search
+# budget clock reads per (i, k, l) triple of the tuple search, and per
+# pool term of each pass of the search build
 _TRIPLES_PER_READ = 256
+_TERMS_PER_READ = 256
 
 
-def _cover_free_quads(rep: Report, S: _F3Search, t0: float,
+def _cover_free_quads(rep: Report, pool: Iterable[Term], t0: float,
                       budget_seconds: float | None) -> None:
-    """Find the free quads i < j < k < l of S's pool, classify each by
+    """Find the free quads i < j < k < l of the pool, classify each by
     the first interval union covering it, and report into rep.
 
     The search runs over triples (i, k, l) and takes the second member j
@@ -391,12 +403,14 @@ def _cover_free_quads(rep: Report, S: _F3Search, t0: float,
     conditions, then leq_join_bits against the other three members,
     clear the rest, so exactly the free quads are kept.
 
-    With a budget the clock is read before each term's table rows, at
+    With a budget the clock is read at every _TERMS_PER_READ-th term of
+    each pass of the _F3Search build, before each term's table rows, at
     each first member and every _TRIPLES_PER_READ triples; a search cut
     short is inconclusive unless a free quad it found is uncovered."""
-    n = S.n
+    pool = list(pool)
+    n = len(pool)
     rep.set("terms", n)
-    names, member = _coverage_tables(S.pool)
+    names, member = _coverage_tables(pool)
     unions = _union_checks(names)
 
     def out_of_time(i: int, phase: str = "tuple search") -> bool:
@@ -405,8 +419,11 @@ def _cover_free_quads(rep: Report, S: _F3Search, t0: float,
         rep.set("stopped", f"during {phase} at term {i} of {n}")
         return True
 
-    # the tables stop short if the clock runs out while they are built
-    compat, bounded = S.pair_tables(lambda a: out_of_time(a, "table build"))
+    # the search and its tables stop short if the clock runs out while
+    # they are built
+    S = _F3Search(pool, lambda a: out_of_time(a, "search build"))
+    compat, bounded = (S.pair_tables(lambda a: out_of_time(a, "table build"))
+                       if S.built else ([], []))
     stopped = len(compat) < n
     if not stopped:
         rep.set("compatible_pairs", sum(c.bit_count() for c in compat) // 2)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freelat import builders
 from freelat.bhom import Hom
 from freelat.builders import (
     build_a,
@@ -37,6 +38,7 @@ from freelat.finlat import (
     tarski_lfp,
     to_dot,
 )
+from freelat.cli import run
 from freelat.terms import GeneratorSet, evaluate, parse_term
 
 
@@ -437,6 +439,60 @@ def test_builtin_lattice_names(monkeypatch):
     builtin_lattice("m3")
     builtin_lattice("chain5").dual()
     assert len(built) == 2
+    monkeypatch.undo()
+    # fd3 and A are shared, and nothing else is
+    F = build_fd3()
+    assert F is build_fd3() is builtin_lattice("fd3")
+    A = build_a()
+    assert A is build_a() is builtin_lattice("A")
+    order = sorted(F.labels[i] for i in fd3_doubling_targets(F))
+    B = build_a(order)
+    assert B is not A and B is not build_a(order)
+    assert (B.up, B.labels, B.joins) == (A.up, A.labels, A.joins)
+    cat, ext = catalog(), extended_catalog()
+    assert all(K is not L for K, L in zip(cat + ext, catalog() + extended_catalog()))
+    assert all(K is not L for K, L in zip(cat, ext))
+    # the figure commands leave the shared lattices as a fresh build has them
+    for argv in FIGURES:
+        run(argv)
+    assert build_fd3() is F and build_a() is A
+    G = builders.build_fd3.__wrapped__()
+    assert (F.up, F.labels, F.joins, F.meets) == (G.up, G.labels, G.joins, G.meets)
+    B = build_a(order)
+    assert (A.up, A.labels, A.joins, A.meets) == (B.up, B.labels, B.joins, B.meets)
+
+
+# the benchmark's figures workload, run in one process
+FIGURES = [
+    ["verify", "fig1", "--format", "records"],
+    ["verify", "fig2", "--format", "records"],
+    ["verify", "fig3", "--format", "records"],
+    ["tower", "classify", "--stage", "builtin:fd3:x=x,y=y,z=z",
+     "--stage", "builtin:A:x=x,y=y,z=z", "x*(y+z)"],
+]
+
+
+def test_figures_build_each_lattice_once(monkeypatch):
+    builders.build_fd3.cache_clear()
+    builders._default_a.cache_clear()
+    built = []
+    init = FiniteLattice.__init__
+
+    def counting_init(self, *a, **k):
+        init(self, *a, **k)
+        built.append(self.name)
+
+    monkeypatch.setattr(FiniteLattice, "__init__", counting_init)
+    run(FIGURES[0])
+    assert built.count("fd3") == 1
+    # fd3, the five doubling steps to A, and each map's image sublattice:
+    # the doubled map's (shared by fig2 and the tower's last stage), the
+    # pentagon map's and the tower's first stage's
+    for argv in FIGURES[1:]:
+        run(argv)
+    assert sorted(built) == sorted(
+        ["fd3", *(f"fd3+{k}" for k in range(1, 6)), "A", "A.im",
+         "pentagon", "pentagon.im", "fd3.im"])
 
 
 def test_catalog_contents():

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from freelat import builders
 from freelat.cli import run
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
@@ -35,6 +36,18 @@ COMMANDS = [
 def test_batch_output_matches_expected(argv, code, expected, capsys):
     assert run(argv) == code
     assert capsys.readouterr().out.encode() == (EXPECTED / expected).read_bytes()
+
+
+def test_batch_output_does_not_depend_on_command_order(capsys):
+    # fd3 and A are shared by the commands of one process, so run the
+    # tower first, on newly built ones, then the figures in reverse and
+    # the coverage search that evaluates terms under the doubled map
+    builders.build_fd3.cache_clear()
+    builders._default_a.cache_clear()
+    for argv, code, expected in [*COMMANDS[3::-1], COMMANDS[4]]:
+        assert run(argv) == code, expected
+        out = capsys.readouterr().out.encode()
+        assert out == (EXPECTED / expected).read_bytes(), expected
 
 
 FD3_TO_A = ["--stage", "builtin:fd3:x=x,y=y,z=z", "--stage", "builtin:A:x=x,y=y,z=z"]

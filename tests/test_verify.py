@@ -302,7 +302,7 @@ def _oracle_report(S):
 
 def _kernel_report(S):
     rep = Report("pi3-coverage-in-f3")
-    _cover_free_quads(rep, S, 0.0, None)
+    _cover_free_quads(rep, S.pool, 0.0, None)
     return rep
 
 
@@ -427,6 +427,32 @@ def test_f3_budget_is_read_between_table_rows(monkeypatch):
     assert rep.status == INCONCLUSIVE
     assert rep.data["stopped"] == "during table build at term 50 of 121"
     assert rep.data["vacuous"] is False
+
+
+def test_f3_budget_is_read_inside_the_search_build(monkeypatch):
+    # size 7 has 567 terms, so each pass of the search build reads the
+    # clock at terms 256 and 512; the start read is in time and the read
+    # at term 256 of the first pass is not
+    assert verify._TERMS_PER_READ == 256
+    reads = fake_clock(monkeypatch, 1)
+    rep = check_pi3_in_f3(7, budget_seconds=5.0)
+    assert next(reads) == 2
+    assert rep.status == INCONCLUSIVE
+    assert rep.data["terms"] == 567
+    assert rep.data["stopped"] == "during search build at term 256 of 567"
+    assert "compatible_pairs" not in rep.data
+    assert rep.data["tuples_surviving_pair_filters"] == 0
+    assert rep.data["vacuous"] is False
+
+
+def test_f3_search_build_reads_the_clock_twice_per_pass(monkeypatch):
+    # the same size-7 search with the clock running out only after the
+    # start read and both passes' reads at terms 256 and 512: it stops
+    # before the first term's table rows
+    reads = fake_clock(monkeypatch, 1 + 4)
+    rep = check_pi3_in_f3(7, budget_seconds=5.0)
+    assert next(reads) == 6
+    assert rep.data["stopped"] == "during table build at term 0 of 567"
 
 
 def test_f3_clock_is_read_only_with_a_budget(monkeypatch):
