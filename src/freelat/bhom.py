@@ -22,6 +22,7 @@ at most one of each per image element.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .finlat import (
@@ -41,7 +42,7 @@ class NotBoundedError(ValueError):
 
 class Hom:
     __slots__ = ("gens", "target", "images", "_sub", "_betas", "_dualh",
-                 "_lo", "_hi")
+                 "_lo", "_hi", "__weakref__")
 
     def __init__(self, gens: GeneratorSet, target: FiniteLattice,
                  images: dict[str, int]):
@@ -81,12 +82,17 @@ class Hom:
 
     def dual(self) -> "Hom":
         """The same images on the dual target.  Its image sublattice is the
-        dual of this map's, and its own dual is this map."""
-        if self._dualh is None:
+        dual of this map's, and its own dual is this map while this map
+        lives: the dual links back by a weak reference, so the two form
+        no reference cycle and a dropped map is freed at once."""
+        d = self._dualh
+        if type(d) is weakref.ref:
+            d = d()
+        if d is None:
             d = self._dualh = Hom(self.gens, self.target.dual(), self.images)
             S, to_target, to_sub = self.image_sublattice()
-            d._sub, d._dualh = (S.dual(), to_target, to_sub), self
-        return self._dualh
+            d._sub, d._dualh = (S.dual(), to_target, to_sub), weakref.ref(self)
+        return d
 
 
 def is_lower_bounded(h: Hom) -> bool:

@@ -326,6 +326,10 @@ def _rebuild(t: Term, leaf: Callable[[Term], Term], kinds: dict[str, str]) -> Te
     return memo[t]
 
 
+def _no_image(g: Term) -> ValueError:
+    return ValueError(f"no image for generator {g.name!r}")
+
+
 def substitute(t: Term, assignment: dict[str, Term]) -> Term:
     """t with each generator replaced by its image in assignment, by
     _rebuild, so the first generator without an image, left to right,
@@ -333,31 +337,42 @@ def substitute(t: Term, assignment: dict[str, Term]) -> Term:
     def image(g: Term) -> Term:
         r = assignment.get(g.name)
         if r is None:
-            raise ValueError(f"no image for generator {g.name!r}")
+            raise _no_image(g)
         return r
 
     return _rebuild(t, image, {JOIN: JOIN, MEET: MEET})
 
 
 def evaluate(t: Term, lattice, assignment: dict[str, int]) -> int:
-    """Value of t in a finite lattice under a generator assignment."""
-    memo: dict[Term, int] = {}
+    """Value of t in a finite lattice under a generator assignment.  The
+    walk is _value, one module-level recursion that reads generator
+    leaves inline.  Its memo, one per call, values a shared subterm once,
+    so the cost follows the distinct subterms, not the tree size.  The
+    first generator without an image, left to right, is the one named
+    in the error."""
+    if t.kind != GEN:
+        return _value(t, lattice.joins, lattice.meets, assignment, {})
+    if t.name not in assignment:
+        raise _no_image(t)
+    return assignment[t.name]
 
-    def go(u: Term) -> int:
-        if u.kind == GEN:
-            if u.name not in assignment:
-                raise ValueError(f"no image for generator {u.name!r}")
-            return assignment[u.name]
-        r = memo.get(u)
-        if r is None:
-            table = lattice.joins if u.kind == JOIN else lattice.meets
-            r = go(u.ops[0])
-            for o in u.ops[1:]:
-                r = table[r][go(o)]
-            memo[u] = r
-        return r
 
-    return go(t)
+def _value(u: Term, joins: list[list[int]], meets: list[list[int]],
+           assignment: dict[str, int], memo: dict[Term, int]) -> int:
+    # the value of the join or meet u, operands left to right
+    table = joins if u.kind == JOIN else meets
+    r = -1
+    for o in u.ops:
+        if o.kind == GEN:
+            if o.name not in assignment:
+                raise _no_image(o)
+            v = assignment[o.name]
+        else:
+            v = memo.get(o)
+            if v is None:
+                v = memo[o] = _value(o, joins, meets, assignment, memo)
+        r = v if r < 0 else table[r][v]
+    return r
 
 
 def dual_term(t: Term) -> Term:

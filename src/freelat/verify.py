@@ -412,6 +412,11 @@ def _cover_free_quads(rep: Report, pool: Iterable[Term], t0: float,
     rep.set("terms", n)
     names, member = _coverage_tables(pool)
     unions = _union_checks(names)
+    # bit u of covers[p] is set iff pool[p] lies in union u, so the first
+    # union covering a quad is the lowest set bit of the AND of its four
+    # members' masks
+    covers = [sum(1 << u for u, (_, umask) in enumerate(unions) if m & umask)
+              for m in member]
 
     def out_of_time(i: int, phase: str = "tuple search") -> bool:
         if budget_seconds is None or time.monotonic() - t0 <= budget_seconds:
@@ -474,17 +479,19 @@ def _cover_free_quads(rep: Report, pool: Iterable[Term], t0: float,
                         | S.leq_join_bits(k, il) | D.leq_join_bits(k, il)
                         | S.leq_join_bits(l, ik) | D.leq_join_bits(l, ik))
                 ikl = ik | 1 << l
+                cikl = covers[i] & covers[k] & covers[l]
                 for j in _bits(js):
                     if (S.leq_join_bits(j, ikl) | D.leq_join_bits(j, ikl)) & ikl:
                         continue
                     quad = (i, j, k, l)
                     free += 1
-                    hit = next((nm for nm, umask in unions
-                                if all(member[q] & umask for q in quad)), None)
-                    if hit is None:
-                        uncovered.append(quad)
-                    else:
+                    c = cikl & covers[j]
+                    if c:
+                        hit = unions[(c & -c).bit_length() - 1][0]
                         union_hist[hit] += 1
+                    else:
+                        hit = None
+                        uncovered.append(quad)
                     if free <= 200:
                         first.append((quad, hit))
             if stopped:

@@ -18,6 +18,9 @@ the generator operands go first, so a deep operand is entered only when
 no generator settles the pair.  _under (and so promotion and
 ni_predicate) applies the same filter to each operand it tests, against
 the key of the whole join or meet, computed once per call by node_key.
+Every "all operands" or "some operand" test in leq, _under and the
+absorb step is a plain loop that returns or breaks at the first operand
+that decides it, in the order given above.
 
 canonical_form rewrites a term to the shortest join-of-meets/meet-of-joins
 normal form (Whitman; Freese, Ježek and Nation, Free Lattices, Thm 1.18):
@@ -26,7 +29,11 @@ while some meetand u of a joinand lies below the whole join, u replaces
 that joinand (dually inside meets); then the operands below another
 operand (dually, above one) are dropped.  Only the result node is
 built.  Two terms denote the same free-lattice element iff their
-canonical forms are the identical object.
+canonical forms are the identical object.  The canonical form is
+unique, so when the flattened operands, sorted by term_key, are exactly
+the operands of an interned node that is its own canonical form, that
+node is the answer and promotion and absorption are skipped; a node
+that is interned but not canonical, such as a raw x+x*y, is not used.
 
 promotion finds the next such (operand, u) pair.  It runs Whitman's
 recursion against the operand tuple, so the node is never built.
@@ -41,7 +48,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .terms import GEN, JOIN, MEET, Term, _node, node_key, term_key
+from .terms import _INTERN, GEN, JOIN, MEET, Term, _node, node_key, term_key
 
 _LEQ: dict[tuple[Term, Term], bool] = {}
 
@@ -56,20 +63,37 @@ def leq(s: Term, t: Term) -> bool:
     key = (s, t)
     r = _LEQ.get(key)
     if r is None:
-        if s.kind == JOIN:
-            r = all(leq(o, t) for o in s.ops)
-        elif t.kind == MEET:
-            r = all(leq(s, o) for o in t.ops)
-        else:
-            # meet vs join: Whitman's condition (W), the operands the key
-            # decides first, so a generator answers before any deep operand
-            # is entered
-            r = (any(leq(o, t) for o in s.ops if o.kind == GEN)
-                 or any(leq(s, o) for o in t.ops if o.kind == GEN)
-                 or any(leq(o, t) for o in s.ops if o.kind != GEN)
-                 or any(leq(s, o) for o in t.ops if o.kind != GEN))
-        _LEQ[key] = r
+        r = _LEQ[key] = _whitman(s, t)
     return r
+
+
+def _whitman(s: Term, t: Term) -> bool:
+    """s <= t for s and t not generators, one step of the recursion."""
+    if s.kind == JOIN:
+        for o in s.ops:
+            if not leq(o, t):
+                return False
+        return True
+    if t.kind == MEET:
+        for o in t.ops:
+            if not leq(s, o):
+                return False
+        return True
+    # meet vs join: Whitman's condition (W), the operands the key decides
+    # first, so a generator answers before any deep operand is entered
+    for o in s.ops:
+        if o.kind == GEN and leq(o, t):
+            return True
+    for o in t.ops:
+        if o.kind == GEN and leq(s, o):
+            return True
+    for o in s.ops:
+        if o.kind != GEN and leq(o, t):
+            return True
+    for o in t.ops:
+        if o.kind != GEN and leq(s, o):
+            return True
+    return False
 
 
 def equal(s: Term, t: Term) -> bool:
@@ -79,15 +103,6 @@ def equal(s: Term, t: Term) -> bool:
 _CANON: dict[Term, Term] = {}
 
 
-def _flat(kind: str, ts) -> dict[Term, None]:
-    # ts with same-kind nodes opened up, duplicates dropped; a dict keeps
-    # the work order fixed from run to run, as a set of terms would not
-    out: dict[Term, None] = {}
-    for c in ts:
-        out.update(dict.fromkeys(c.ops if c.kind == kind else (c,)))
-    return out
-
-
 def canonical_form(t: Term) -> Term:
     if t.kind == GEN:
         return t
@@ -95,18 +110,33 @@ def canonical_form(t: Term) -> Term:
     if r is not None:
         return r
     kind = t.kind
-    work = _flat(kind, map(canonical_form, t.ops))
-    # promote: the value of the whole never changes, since o <= u <= whole
-    while (hit := promotion(kind, tuple(work))) is not None:
-        o, u = hit
-        del work[o]
-        work.update(_flat(kind, (u,)))
-    # absorb: with nothing promotable, an operand below the join of the
-    # rest is below one other operand (join-prime gens, (W) for meets)
-    keep = [o for o in work
-            if not any(p is not o and (leq(o, p) if kind == JOIN else leq(p, o))
-                       for p in work)]
-    r = _node(kind, tuple(sorted(keep, key=term_key)))
+    # the operands canonical, same-kind ones opened up, duplicates dropped;
+    # a dict keeps the work order fixed from run to run, as a set would not
+    work: dict[Term, None] = {}
+    for o in map(canonical_form, t.ops):
+        if o.kind == kind:
+            work.update(dict.fromkeys(o.ops))
+        else:
+            work[o] = None
+    # the canonical form is unique, so a canonical node with exactly these
+    # operands is the answer; a raw node may be interned, hence the check
+    r = _INTERN.get((kind, tuple(sorted(work, key=term_key))))
+    if r is None or _CANON.get(r) is not r:
+        # promote: the value of the whole never changes, since o <= u <= whole
+        while (hit := promotion(kind, tuple(work))) is not None:
+            o, u = hit
+            del work[o]
+            work.update(dict.fromkeys(u.ops if u.kind == kind else (u,)))
+        # absorb: with nothing promotable, an operand below the join of the
+        # rest is below one other operand (join-prime gens, (W) for meets)
+        keep = []
+        for o in work:
+            for p in work:
+                if p is not o and (leq(o, p) if kind == JOIN else leq(p, o)):
+                    break
+            else:
+                keep.append(o)
+        r = _node(kind, tuple(sorted(keep, key=term_key)))
     _CANON[t] = r
     if r is not t:
         _CANON[r] = r
@@ -123,11 +153,23 @@ def _under(u: Term, kind: str, ops: tuple[Term, ...], down: int, up: int) -> boo
     if u.kind == GEN:
         return True
     if u.kind == kind:
-        return all(_under(o, kind, ops, down, up) for o in u.ops)
-    if any(leq(u, o) if kind == JOIN else leq(o, u) for o in ops):
+        for o in u.ops:
+            if not _under(o, kind, ops, down, up):
+                return False
         return True
+    if kind == JOIN:
+        for o in ops:
+            if leq(u, o):
+                return True
+    else:
+        for o in ops:
+            if leq(o, u):
+                return True
     # (W) for a meet below a join, dually
-    return any(_under(o, kind, ops, down, up) for o in u.ops)
+    for o in u.ops:
+        if _under(o, kind, ops, down, up):
+            return True
+    return False
 
 
 def promotion(kind: str, ops: tuple[Term, ...]) -> tuple[Term, Term] | None:

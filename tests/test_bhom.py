@@ -272,6 +272,29 @@ def test_sublattices_and_answers_do_not_outlive_their_target():
     assert ref() is None and ref_dual() is None
 
 
+def test_a_map_and_its_dual_are_freed_without_the_cycle_collector():
+    N5 = pentagon()
+    images = {"x": N5.index_of("c"), "y": N5.index_of("b"), "z": N5.index_of("a")}
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        h = Hom(G, N5, images)
+        a = h.eval(parse_term("x*(y+z)", G))
+        assert h.eval(alpha(h, a)) == a   # alpha reads the dual's beta
+        d = h.dual()
+        assert d.dual() is h
+        refs = weakref.ref(h), weakref.ref(d)
+        del h, d
+        assert [r() for r in refs] == [None, None]
+        # a dual whose map has gone makes a new map on the original target
+        d = Hom(G, N5, images).dual()
+        assert d.dual().target is N5 and d.dual() is d.dual()
+        assert d.dual().dual() is d
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_image_sublattice():
     N5 = pentagon()
     h = Hom(G, N5, {n: N5.index_of("b") for n in G.names})

@@ -156,6 +156,28 @@ def test_evaluate_on_pentagon():
         evaluate(gen("w"), N5, amap)
 
 
+def test_evaluate_names_the_first_missing_generator():
+    N5 = pentagon()
+    gens = GeneratorSet(("x", "y", "v", "w"))
+    amap = {"x": N5.index_of("c"), "y": N5.index_of("b")}
+    for src, name in [("w", "w"), ("x*(w+v)+v", "w"), ("(x+y)*(x*y+v)+w", "v")]:
+        with pytest.raises(ValueError, match=f"^no image for generator '{name}'$"):
+            evaluate(parse_term(src, gens), N5, amap)
+
+
+def test_evaluate_values_a_shared_subterm_once():
+    # t = (t+x)*(t+y) sixty times over: about 2^60 tree nodes, 181 distinct
+    N5 = pentagon()
+    amap = {"x": N5.index_of("a"), "y": N5.index_of("c"), "z": N5.index_of("b")}
+    J, M = N5.joins, N5.meets
+    t, v = Z, amap["z"]
+    for _ in range(60):
+        t = meet(join(t, X), join(t, Y))
+        v = M[J[v][amap["x"]]][J[v][amap["y"]]]
+    assert t.size > 2 ** 60
+    assert evaluate(t, N5, amap) == v
+
+
 def test_dual_term():
     t = parse_term("x+y*z", G)
     assert print_term(dual_term(t)) == "x*(y+z)"
@@ -214,6 +236,19 @@ def test_substitute_handles_10000_levels():
     assert substitute(s, {"x": Y, "y": X, "z": Z}) is t
     with pytest.raises(ValueError, match="'z'"):
         substitute(t, {"x": X, "y": Y})
+
+
+def test_evaluate_and_canonical_form_handle_hundreds_of_levels():
+    N5 = pentagon()
+    amap = {"x": N5.index_of("a"), "y": N5.index_of("c"), "z": N5.index_of("b")}
+    t, v = deep_term(490), amap["x"]
+    for k in range(490):
+        v = N5.joins[v][amap["y"]] if k % 2 == 0 else N5.meets[v][amap["z"]]
+    assert evaluate(t, N5, amap) == v
+    t = deep_term(450)
+    c = canonical_form(t)
+    assert canonical_form(c) is c and c.size <= t.size
+    assert evaluate(c, N5, amap) == evaluate(t, N5, amap)
 
 
 def test_enumerate_counts_and_canonicity():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import perturb, rand_term
-from freelat import terms
+from freelat import terms, whitman
 from freelat.terms import (
     GEN,
     JOIN,
@@ -223,6 +223,49 @@ def _subterms(t, out):
         for o in t.ops:
             _subterms(o, out)
     return out
+
+
+def _reshuffle(rng, c):
+    """A copy of c with each node's operands shuffled, one perhaps
+    repeated, and the node perhaps nested in a same-kind node that
+    repeats some of them: every node of the copy has the operands of a
+    node of c once it is flattened."""
+    if c.kind == GEN:
+        return c
+    ctor = join if c.kind == JOIN else meet
+    ops = [_reshuffle(rng, o) for o in c.ops]
+    rng.shuffle(ops)
+    if rng.random() < 0.3:
+        ops.append(ops[0])
+    out = ctor(*ops)
+    if rng.random() < 0.4:
+        out = ctor(*ops[:rng.randrange(1, len(ops))], out)
+    return out
+
+
+def test_canonical_form_returns_the_canonical_node_of_its_operands(rng, monkeypatch):
+    # generator names no other test uses, so the other tests' terms stay new
+    names = ("f1", "f2", "f3", "f4")
+    forms = [canonical_form(rand_term(rng, names, rng.randrange(1, 9))) for _ in range(300)]
+    copies = [_reshuffle(rng, c) for c in forms]
+    assert sum(b is not c for b, c in zip(copies, forms)) > 200
+
+    def boom(*args):
+        raise AssertionError("promotion ran")
+
+    # canonical operands that flatten to those of a canonical node need
+    # neither promotion nor absorption
+    monkeypatch.setattr(whitman, "promotion", boom)
+    for b, c in zip(copies, forms):
+        assert canonical_form(b) is c
+
+
+def test_canonical_form_skips_an_interned_node_that_is_not_canonical():
+    p, q = gen("p"), gen("q")
+    raw = join(p, meet(p, q))   # interned, and equal to p
+    assert canonical_form(raw) is p
+    assert canonical_form(join(meet(q, p), p, p)) is p
+    assert canonical_form(raw) is p
 
 
 def test_canonical_form_and_ni_predicate_build_no_throwaway_terms(rng):
