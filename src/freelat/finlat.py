@@ -12,7 +12,8 @@ element.  When indices run along a linear extension, as they do for
 from_covers, double, generated_sublattice and dm_completion, the test
 never fails.  The dual is made once, from this object's rows and tables
 swapped (up with down, joins with meets, bottom with top), so it shares
-them and is not checked again.
+them and is not checked again; it links back to this object weakly, so
+the two form no reference cycle.
 
 Join covers and the dependency rank rest on Day's D relation (A. Day,
 Canad. J. Math. 31, 1979): a join irreducible q != a lies in D(a) iff
@@ -26,6 +27,7 @@ lists handed out are shared and must not be changed; no size is capped.
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Iterator, Sequence
 
 
@@ -42,7 +44,7 @@ class NotALatticeError(ValueError):
 
 class FinitePoset:
     __slots__ = ("n", "up", "down", "labels", "name", "_covers", "_lower",
-                 "_upper", "_dual")
+                 "_upper", "_dual", "__weakref__")
 
     def __init__(self, up: Sequence[int], labels: Sequence[str] | None = None,
                  name: str = "P"):
@@ -122,13 +124,18 @@ class FinitePoset:
 
     def dual(self):
         """The order turned upside down, of the same class; made once from
-        this object's swapped rows, and its own dual is this object again."""
-        if self._dual is None:
-            d = type(self).__new__(type(self))
+        this object's swapped rows.  Its own dual is this object while it
+        lives: the dual links back by a weak reference, so the two form no
+        reference cycle and a dropped lattice is freed at once."""
+        d = self._dual
+        if type(d) is weakref.ref:
+            d = d()
+        if d is None:
+            d = self._dual = type(self).__new__(type(self))
             self._swap_into(d)
             d._reset()
-            self._dual, d._dual = d, self
-        return self._dual
+            d._dual = weakref.ref(self)
+        return d
 
     def _swap_into(self, d) -> None:
         d.n, d.up, d.down, d.labels = self.n, self.down, self.up, self.labels

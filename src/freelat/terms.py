@@ -4,6 +4,9 @@ A term is a generator, a join, or a meet; join and meet nodes are n-ary
 (at least two operands) and keep their operands in construction order.
 Terms are interned: building the same tree twice yields the same object,
 so identity doubles as structural equality and dict keys are cheap.
+_INTERN holds one table per kind, a generator keyed by its name and a
+join or meet by the very operand tuple it keeps, so no key is built per
+term; join and meet try that table before any check.
 
 Each term carries precomputed structural measures:
 
@@ -53,13 +56,15 @@ class Term:
         return print_term(self)
 
 
-_INTERN: dict[tuple, Term] = {}
+_INTERN: dict[str, dict] = {GEN: {}, JOIN: {}, MEET: {}}
+_JOINS, _MEETS = _INTERN[JOIN], _INTERN[MEET]
 _GEN_BITS = itertools.count()   # bit index of the next new generator
 
 
 def _make(kind: str, name: str | None, ops: tuple[Term, ...]) -> Term:
-    key = (kind, name) if kind == GEN else (kind, ops)
-    t = _INTERN.get(key)
+    table = _INTERN[kind]
+    key = name if kind == GEN else ops
+    t = table.get(key)
     if t is not None:
         return t
     t = Term.__new__(Term)
@@ -92,7 +97,7 @@ def _make(kind: str, name: str | None, ops: tuple[Term, ...]) -> Term:
         t.down = d
         t.up = u
     t._printed = None
-    _INTERN[key] = t
+    table[key] = t
     return t
 
 
@@ -113,7 +118,7 @@ def node_key(kind: str, ops: tuple[Term, ...]) -> tuple[int, int]:
 
 
 def gen(name: str) -> Term:
-    t = _INTERN.get((GEN, name))
+    t = _INTERN[GEN].get(name)
     if t is not None:
         return t
     if not _IDENT.fullmatch(name):
@@ -133,11 +138,13 @@ def _node(kind: str, ops: tuple[Term, ...]) -> Term:
 
 
 def join(*ops: Term) -> Term:
-    return _node(JOIN, ops)
+    t = _JOINS.get(ops)
+    return t if t is not None else _node(JOIN, ops)
 
 
 def meet(*ops: Term) -> Term:
-    return _node(MEET, ops)
+    t = _MEETS.get(ops)
+    return t if t is not None else _node(MEET, ops)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,10 @@ built.  Two terms denote the same free-lattice element iff their
 canonical forms are the identical object.  The canonical form is
 unique, so when the flattened operands, sorted by term_key, are exactly
 the operands of an interned node that is its own canonical form, that
-node is the answer and promotion and absorption are skipped; a node
-that is interned but not canonical, such as a raw x+x*y, is not used.
+node is the answer and promotion and absorption are skipped; the lookup
+is one probe of the kind's intern table, which is keyed by operand
+tuple.  A node that is interned but not canonical, such as a raw
+x+x*y, is not used.
 
 promotion finds the next such (operand, u) pair.  It runs Whitman's
 recursion against the operand tuple, so the node is never built.
@@ -120,7 +122,7 @@ def canonical_form(t: Term) -> Term:
             work[o] = None
     # the canonical form is unique, so a canonical node with exactly these
     # operands is the answer; a raw node may be interned, hence the check
-    r = _INTERN.get((kind, tuple(sorted(work, key=term_key))))
+    r = _INTERN[kind].get(tuple(sorted(work, key=term_key)))
     if r is None or _CANON.get(r) is not r:
         # promote: the value of the whole never changes, since o <= u <= whole
         while (hit := promotion(kind, tuple(work))) is not None:

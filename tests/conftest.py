@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from freelat import terms
 from freelat.terms import gen, join, meet
 
 SEED = 12345
@@ -10,6 +12,17 @@ SEED = 12345
 @pytest.fixture
 def rng():
     return random.Random(SEED)
+
+
+def intern_sizes():
+    """The size of each per-kind intern table, for interned_since."""
+    return {kind: len(table) for kind, table in terms._INTERN.items()}
+
+
+def interned_since(sizes):
+    """The terms interned after intern_sizes() returned sizes."""
+    return [t for kind, table in terms._INTERN.items()
+            for t in itertools.islice(table.values(), sizes[kind], None)]
 
 
 def rand_term(rng, names, budget):

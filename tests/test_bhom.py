@@ -251,13 +251,8 @@ def test_image_sets_with_one_closure_share_one_sublattice():
     assert k.dual().image_sublattice()[0] is S.dual()
 
 
-class WeakTarget(FiniteLattice):
-    """A FiniteLattice that accepts weak references; its dual is one too."""
-
-
 def test_sublattices_and_answers_do_not_outlive_their_target():
-    N5 = pentagon()
-    L = WeakTarget(N5.up, N5.labels, N5.name)
+    L = pentagon()
     ref, ref_dual = weakref.ref(L), weakref.ref(L.dual())
     homs = [Hom(G, L, dict(zip(G.names, images)))
             for images in itertools.product(range(L.n), repeat=3)]
@@ -267,7 +262,7 @@ def test_sublattices_and_answers_do_not_outlive_their_target():
             asked += answer(beta, h, a) is not None
             asked += answer(alpha, h, a) is not None
     assert asked > 0 and L._subs
-    del L, N5, homs, h
+    del L, homs, h
     gc.collect()
     assert ref() is None and ref_dual() is None
 

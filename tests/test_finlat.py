@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,35 @@ def test_dual():
     assert find_isomorphism(N5, D.dual()) is not None
     F = build_fd3()
     assert find_isomorphism(F, F.dual()) is not None   # self-dual order
+
+
+def test_a_dual_is_its_lattice_while_it_lives():
+    N5 = pentagon()
+    D = N5.dual()
+    assert D.dual() is N5 and N5.dual() is D
+    assert D.dual().dual() is D
+    # a dual whose lattice has gone rebuilds an equal one, and keeps it
+    D = pentagon().dual()
+    L = D.dual()
+    assert L is not N5 and L.dual() is D and D.dual() is L
+    assert (L.n, L.up, L.down, L.labels) == (N5.n, N5.up, N5.down, N5.labels)
+    assert (L.joins, L.meets, L.bottom, L.top) == (
+        N5.joins, N5.meets, N5.bottom, N5.top)
+
+
+def test_lattices_and_duals_are_freed_without_the_cycle_collector():
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        lattices = catalog()
+        refs = [weakref.ref(L.dual()) for L in lattices]
+        del lattices
+        assert [r() for r in refs] == [None] * len(refs)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_irreducibles():

@@ -3,10 +3,11 @@ import itertools
 
 import pytest
 
-from conftest import rand_term
+from conftest import intern_sizes, interned_since, rand_term
 from freelat import terms, whitman
 from freelat.builders import pentagon
 from freelat.terms import (
+    GEN,
     JOIN,
     MEET,
     GeneratorSet,
@@ -38,11 +39,32 @@ def test_interning_gives_identity():
     assert join(X, Y) is not join(Y, X)
 
 
+def test_a_node_is_interned_under_its_own_operand_tuple():
+    t = join(X, meet(Y, Z))
+    table = terms._INTERN[JOIN]
+    (key,) = [k for k, v in table.items() if v is t]
+    assert key is t.ops
+    assert terms._INTERN[GEN]["x"] is X
+
+
+def test_join_and_meet_return_a_hit_without_checks(monkeypatch):
+    j, m = join(X, Y), meet(Y, Z)
+
+    def boom(*args):
+        raise AssertionError("a hit went through the checks")
+
+    monkeypatch.setattr(terms, "_node", boom)
+    assert join(X, Y) is j and meet(Y, Z) is m
+    assert join(*j.ops) is j and meet(*m.ops) is m
+
+
 def test_factories_validate():
     with pytest.raises(TypeError):
         join(X, "y")
     with pytest.raises(TypeError):
         meet(X, 3)
+    with pytest.raises(TypeError):
+        join(X, [Y])   # not hashable, so not even looked up
     with pytest.raises(ValueError):
         gen("1x")
     assert join(X) is X
@@ -353,24 +375,26 @@ def test_promotable_matches_leq_against_the_built_node(rng):
 def test_enumeration_interns_only_kept_terms():
     # generator names no other test uses, so every kept term is new
     gens = GeneratorSet(("m1", "m2", "m3", "m4"))
-    interned, canon = len(terms._INTERN), len(whitman._CANON)
+    sizes, canon = intern_sizes(), len(whitman._CANON)
     out = list(enumerate_terms(gens, 4))
     assert len(out) == 1640
-    assert len(terms._INTERN) - interned <= len(out)
+    # every term interned is one that was kept, generators included
+    assert set(interned_since(sizes)) == set(out)
     assert len(whitman._CANON) == canon
 
 
 def test_levels_leave_the_last_size_unbuilt():
     # generator names no other test uses, so every built term is new
     gens = GeneratorSet(("v1", "v2", "v3", "v4"))
-    interned = len(terms._INTERN)
+    sizes = intern_sizes()
     *built, last = _levels(gens, 4)
     assert [len(level) for level in built] == [4, 22, 44, 282]
-    assert len(terms._INTERN) - interned == 352
+    kept = [t for level in built for t in level]
+    assert sorted(interned_since(sizes), key=term_key) == kept
     last = list(last)
     assert len(last) == 1640 - 352
     # running the last level's candidates builds none of them
-    assert len(terms._INTERN) - interned == 352
+    assert len(interned_since(sizes)) == 352
     # enumerate_terms builds the same candidates and sorts them
     out = list(enumerate_terms(gens, 4))
     assert out[:len(out) - len(last)] == [t for level in built for t in level]

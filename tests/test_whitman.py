@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import perturb, rand_term
-from freelat import terms, whitman
+from conftest import intern_sizes, interned_since, perturb, rand_term
+from freelat import whitman
 from freelat.terms import (
     GEN,
     JOIN,
@@ -269,20 +269,23 @@ def test_canonical_form_skips_an_interned_node_that_is_not_canonical():
 
 
 def test_canonical_form_and_ni_predicate_build_no_throwaway_terms(rng):
-    raw = [rand_term(rng, G4, rng.randrange(1, 9)) for _ in range(400)]
-    start = len(terms._INTERN)
+    # generator names no other test uses, so no earlier test has built
+    # these canonical forms and the test does not depend on test order
+    names = ("k1", "k2", "k3", "k4")
+    raw = [rand_term(rng, names, rng.randrange(1, 9)) for _ in range(400)]
+    sizes = intern_sizes()
     for a in raw:
         canonical_form(a)
-    added = set(itertools.islice(terms._INTERN.values(), start, None))
+    added = set(interned_since(sizes))
     subs = set()
     for a in raw:
         _subterms(a, subs)
     forms = {canonical_form(s) for s in subs}
     assert added and added <= forms, sorted(map(print_term, added - forms))
     tuples = [raw[i:i + rng.randrange(2, 5)] for i in range(0, 390, 4)]
-    start = len(terms._INTERN)
+    sizes = intern_sizes()
     hits = sum(ni_predicate(ts) for ts in tuples)
-    assert len(terms._INTERN) == start
+    assert interned_since(sizes) == []
     assert 0 < hits < len(tuples)
 
 
