@@ -336,7 +336,7 @@ def test_verify_pi3_f4_budget_values(budget, code, capsys):
 def test_verify_separate(capsys):
     assert run(["verify", "separate", "x", "y", "--format", "records"]) == 0
     out = capsys.readouterr().out
-    assert "lattice_size=4" in out and "images=x=x,y=y" in out
+    assert "s_value=x" in out and "t_value=y" in out and "lattice_size" not in out
     assert run(["verify", "separate", "x*(y+z)", "x*(z+y)"]) == 2
     assert "nothing separates" in capsys.readouterr().err
 

@@ -1,6 +1,7 @@
 """Checks on the package source as a whole."""
 
 import ast
+import sys
 from pathlib import Path
 
 import freelat
@@ -56,3 +57,18 @@ def test_every_imported_name_is_used_in_its_module():
         unused += [f"{path.name}:{line}:{name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, f"imported but unused: {sorted(unused)}"
+
+
+def test_every_absolute_import_is_from_the_standard_library():
+    outside = []
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno}:{n}" for n in names
+                        if n.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside, f"imports outside the standard library: {outside}"

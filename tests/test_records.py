@@ -79,11 +79,10 @@ REPORT_COMMANDS = [
     (["verify", "separate", "x", "y", "--format", "records"], 0, "separate-x-y.out"),
     (["verify", "separate", "a", "a+b", "-g", "a,b", "--format", "records"], 0,
      "separate-a-ab.out"),
-    # no map onto a catalog lattice separates this pair, so a search over
-    # those maps ended inconclusive; the completion of its subterm order
-    # does, with 17 elements
+    # nested terms over x, y and z, told apart by the cuts of their 13
+    # subterm forms
     (["verify", "separate", "x*(y+z*(y+x*(y+z)))", "x*(y+z*(x+y))",
-      "--format", "records"], 0, "separate-inconclusive.out"),
+      "--format", "records"], 0, "separate-nested-x.out"),
     (["idealdm", "sd-fail", "--budget", "8", "--format", "records"], 0,
      "idealdm-sd-fail-8.out"),
     (["verify", "pi3-f3", "--max-size", "6", "--format", "records"], 0,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import rand_term
 from freelat import verify
 from freelat.bhom import kernel_table
 from freelat.builders import doubled_hom
@@ -26,6 +27,7 @@ from freelat.terms import (
     meet,
     parse_term,
     print_term,
+    term_key,
 )
 from freelat.verify import (
     _G3,
@@ -735,10 +737,9 @@ def test_f4_budget_is_read_inside_the_last_size(monkeypatch):
 def test_separate_generators_by_their_principal_cuts():
     rep = separate_terms(gen("x"), gen("y"))
     assert rep.status == PASS
-    # x and y are incomparable: the completion adds a bottom and a top
+    # x and y are incomparable: each goes to its own principal cut
     assert rep.data["subterm_forms"] == 2
-    assert rep.data["lattice_size"] == 4
-    assert rep.data["images"] == ["x=x", "y=y"]
+    assert "lattice_size" not in rep.data and "images" not in rep.data
     assert (rep.data["s_value"], rep.data["t_value"]) == ("x", "y")
 
 
@@ -747,7 +748,6 @@ def test_separate_medians():
     M = canonical_form(parse_term("(x+y)(x+z)(y+z)", _G3))
     rep = separate_terms(m, M)
     assert rep.status == PASS
-    assert rep.data["images"] == ["x=x", "y=y", "z=z"]
     # each term goes to the principal cut of its canonical form
     assert (rep.data["s_value"], rep.data["t_value"]) == (print_term(m), print_term(M))
 
@@ -758,48 +758,42 @@ def test_separate_other_generator_names():
     t = canonical_form(parse_term("a+b", G))
     rep = separate_terms(s, t)
     assert rep.status == PASS
-    assert rep.data["images"] == ["a=a", "b=b"]
     assert (rep.data["s_value"], rep.data["t_value"]) == ("a", "a+b")
 
 
-def rebuilt_witness(s, t, rep):
-    """The completion of the order of s's and t's subterm forms, built
-    again here with the forms in print order, the reported images looked
-    up in it by label, and the subterms."""
-    subs, _ = _subterms(s, t)
-    forms = sorted({canonical_form(u) for u in subs}, key=print_term)
-    up = [sum(1 << j for j, v in enumerate(forms) if leq(u, v)) for u in forms]
-    L, _ = dm_completion(FinitePoset(up, [print_term(u) for u in forms]))
-    images = dict(im.split("=") for im in rep.data["images"])
-    return L, {n: L.index_of(lbl) for n, lbl in images.items()}, sorted(subs, key=print_term)
+def subterm_order(s, t, key):
+    """The canonical forms of s's and t's subterms sorted by key, and
+    the up rows of their order: bit j of up[i] iff form i <= form j."""
+    forms = sorted({canonical_form(u) for u in _subterms(s, t)}, key=key)
+    return forms, [sum(1 << j for j, v in enumerate(forms) if leq(u, v)) for u in forms]
 
 
 def assert_separated(s, t, rng):
+    """Check the report against the completion of the subterm order,
+    built here with the forms in print order and each generator sent to
+    its principal cut."""
     rep = separate_terms(s, t)
     assert rep.status == PASS
-    L, images, subs = rebuilt_witness(s, t, rep)
-    assert L.n == rep.data["lattice_size"] <= 4096
+    forms, up = subterm_order(s, t, print_term)
+    L, emb = dm_completion(FinitePoset(up, [print_term(u) for u in forms]))
+    images = {u.name: emb[i] for i, u in enumerate(forms) if u.kind == GEN}
     sv, tv = evaluate(s, L, images), evaluate(t, L, images)
     assert sv != tv
     assert (L.labels[sv], L.labels[tv]) == (rep.data["s_value"], rep.data["t_value"])
-    # the map is an order embedding on the subterms
+    # the map is an order embedding on the subterms, each sent to the
+    # principal cut of its form
+    subs = sorted(_subterms(s, t), key=print_term)
     for _ in range(8):
         u, v = rng.choice(subs), rng.choice(subs)
-        assert L.leq(evaluate(u, L, images), evaluate(v, L, images)) == leq(u, v)
-
-
-def random_term(rng, names, size):
-    if size == 0:
-        return gen(rng.choice(names))
-    k = rng.randrange(size)
-    op = rng.choice((join, meet))
-    return op(random_term(rng, names, k), random_term(rng, names, size - 1 - k))
+        hu, hv = evaluate(u, L, images), evaluate(v, L, images)
+        assert hu == emb[forms.index(canonical_form(u))]
+        assert L.leq(hu, hv) == leq(u, v)
 
 
 def test_separate_is_exact_on_seeded_pairs():
     rng = random.Random(SEED)
     # over x, y, z: comparable and arbitrary pairs of canonical terms up
-    # to size 6, the pairs the map search could leave inconclusive
+    # to size 6
     pool = list(enumerate_terms(_G3, 6))
     comparable = [(s, t) for s in pool for t in pool if s is not t and leq(s, t)]
     pairs = rng.sample(comparable, 150)
@@ -810,7 +804,7 @@ def test_separate_is_exact_on_seeded_pairs():
     # joins and meets, so half the pairs are comparable
     names = ["x1", "x2", "x3", "x4"]
     while len(pairs) < 600:
-        s, t = (random_term(rng, names, rng.randint(0, 5)) for _ in range(2))
+        s, t = (rand_term(rng, names, rng.randint(0, 5)) for _ in range(2))
         s, t = rng.choice([(s, t), (s, join(s, t)), (meet(s, t), s)])
         if not leq(s, t) or not leq(t, s):
             pairs.append((s, t))
@@ -823,20 +817,26 @@ def test_separate_is_exact_on_seeded_pairs():
 def test_separate_pairs_no_catalog_map_told_apart(s, t, capsys):
     assert run(["verify", "separate", s, t, "--format", "records"]) == 0
     out = capsys.readouterr().out
-    assert "status=pass" in out and "lattice_size=17" in out
+    assert "status=pass" in out and "subterm_forms=13" in out
 
 
-def test_separate_over_the_completion_cap_is_inconclusive(monkeypatch, capsys):
-    def refuse(P):
-        raise ValueError(f"{P.name}: completion exceeds 4096 elements")
-
-    monkeypatch.setattr(verify, "dm_completion", refuse)
-    rep = separate_terms(gen("x"), gen("y"))
-    assert rep.status == INCONCLUSIVE
-    assert rep.data["stopped"] == "subterms: completion exceeds 4096 elements"
-    assert "lattice_size" not in rep.data
-    assert run(["verify", "separate", "x", "y", "--format", "records"]) == 1
-    assert "stopped=subterms:_completion_exceeds_4096_elements" in capsys.readouterr().out
+def test_separate_past_the_completion_cap():
+    # random four-generator terms of size 400 whose subterm order has a
+    # completion of over 4096 elements, too many for dm_completion
+    rng = random.Random(10)
+    s, t = (rand_term(rng, ["x1", "x2", "x3", "x4"], 400) for _ in range(2))
+    forms, up = subterm_order(s, t, term_key)
+    with pytest.raises(ValueError, match="exceeds 4096"):
+        dm_completion(FinitePoset(up))
+    rep = separate_terms(s, t)
+    assert rep.status == PASS
+    assert rep.data["subterm_forms"] == len(forms)
+    # each term goes to the principal cut of its canonical form, and
+    # those cuts differ
+    fs, ft = canonical_form(s), canonical_form(t)
+    assert (rep.data["s_value"], rep.data["t_value"]) == (print_term(fs), print_term(ft))
+    i, j = forms.index(fs), forms.index(ft)
+    assert [r >> i & 1 for r in up] != [r >> j & 1 for r in up]
 
 
 def test_separate_equal_terms_rejected():
@@ -874,6 +874,16 @@ def test_subterms_handles_10000_levels():
     t = gen("x")
     for k in range(10000):
         t = join(t, gen("y")) if k % 2 == 0 else meet(t, gen("z"))
-    subs, names = _subterms(t)
-    assert names == ["x", "y", "z"]
+    subs = _subterms(t)
+    assert sorted(u.name for u in subs if u.kind == GEN) == ["x", "y", "z"]
     assert len(subs) == 10000 + 3
+
+def test_separate_handles_10000_levels():
+    # (..((x+y)*z+y)*z..) is z*(x+y); forms found in size order find
+    # each operand's form first, so canonical_form never goes deep
+    t = gen("x")
+    for k in range(10000):
+        t = join(t, gen("y")) if k % 2 == 0 else meet(t, gen("z"))
+    rep = separate_terms(t, gen("x"))
+    assert rep.status == PASS
+    assert (rep.data["s_value"], rep.data["t_value"]) == ("z*(x+y)", "x")
