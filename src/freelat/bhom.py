@@ -9,30 +9,31 @@ cover of q.  Every cover member lies in D(q) and so has a lower D-rank
 (Day 1979; Freese, Ježek and Nation, Free Lattices, ch. II), so one
 pass over the join irreducibles in rank order computes them all.  beta
 of any other element is the join of beta over the join irreducibles
-below it.  alpha is the greatest preimage, obtained by running beta in
-the dual.  The kernel class of a is then the interval [beta(a),
-alpha(a)]; classes partition the free lattice when both sides exist.
+below it.  alpha, the greatest preimage, is the order dual: the same
+pass over the dual of the image sublattice, with joins and meets
+swapped, builds it directly.  The kernel class of a is then the
+interval [beta(a), alpha(a)]; classes partition the free lattice when
+both sides exist.
 
 Maps on one target object with the same set of images share one image
-sublattice, kept on the target (finlat.generated_sublattice); a map's
-dual is handed the dual of that sublattice instead of generating it
-again on the dual target.  Each map keeps its beta and alpha answers,
-at most one of each per image element.
+sublattice, kept on the target (finlat.generated_sublattice), and its
+cached dual.  Each map keeps its two tables and one dict of answers,
+at most one beta and one alpha per image element.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .finlat import (
     FiniteLattice,
+    _bits,
     d_rank,
     generated_sublattice,
     join_irreducibles,
     minimal_join_covers,
 )
-from .terms import GeneratorSet, Term, dual_term, evaluate, gen, join, meet
+from .terms import GeneratorSet, Term, evaluate, gen, join, meet
 from .whitman import canonical_form, leq
 
 
@@ -41,8 +42,8 @@ class NotBoundedError(ValueError):
 
 
 class Hom:
-    __slots__ = ("gens", "target", "images", "_sub", "_betas", "_dualh",
-                 "_lo", "_hi", "__weakref__")
+    __slots__ = ("gens", "target", "images", "_sub", "_low", "_high",
+                 "_answers", "__weakref__")
 
     def __init__(self, gens: GeneratorSet, target: FiniteLattice,
                  images: dict[str, int]):
@@ -53,16 +54,16 @@ class Hom:
         if extra:
             raise ValueError(f"images for unknown generators {extra}")
         for n, v in images.items():
+            if type(v) is not int:
+                raise ValueError(f"image of {n!r} is not an integer: {v!r}")
             if not 0 <= v < target.n:
                 raise ValueError(f"image of {n!r} out of range: {v}")
         self.gens = gens
         self.target = target
         self.images = dict(images)
         self._sub = None
-        self._betas = None
-        self._dualh = None
-        self._lo: dict[int, Term] = {}   # beta and alpha answers by element
-        self._hi: dict[int, Term] = {}
+        self._low = self._high = None   # beta and alpha tables
+        self._answers = None   # beta(a) at key a, alpha(a) at key ~a
 
     def __repr__(self) -> str:
         ims = ", ".join(f"{n}={self.target.labels[self.images[n]]}"
@@ -80,78 +81,76 @@ class Hom:
             self._sub = generated_sublattice(self.target, self.images.values())
         return self._sub
 
-    def dual(self) -> "Hom":
-        """The same images on the dual target.  Its image sublattice is the
-        dual of this map's, and its own dual is this map while this map
-        lives: the dual links back by a weak reference, so the two form
-        no reference cycle and a dropped map is freed at once."""
-        d = self._dualh
-        if type(d) is weakref.ref:
-            d = d()
-        if d is None:
-            d = self._dualh = Hom(self.gens, self.target.dual(), self.images)
-            S, to_target, to_sub = self.image_sublattice()
-            d._sub, d._dualh = (S.dual(), to_target, to_sub), weakref.ref(self)
-        return d
-
 
 def is_lower_bounded(h: Hom) -> bool:
     """Does every image-sublattice element have a least preimage?"""
-    S, _, _ = h.image_sublattice()
-    return d_rank(S)[1] is not None
+    return d_rank(h.image_sublattice()[0])[1] is not None
 
 
 def is_upper_bounded(h: Hom) -> bool:
-    return is_lower_bounded(h.dual())
+    return d_rank(h.image_sublattice()[0].dual())[1] is not None
 
 
-def _beta_tables(h: Hom) -> dict[int, Term]:
+def _bound_tables(h: Hom, upper: bool) -> dict[int, Term]:
     """beta of each join irreducible of the image sublattice, filled in
-    one pass in D-rank order (see the module docstring)."""
-    if h._betas is None:
-        S, to_target, _ = h.image_sublattice()
-        rho, rank = d_rank(S)
+    one pass in D-rank order (see the module docstring); with upper,
+    alpha of each meet irreducible, by the same pass over the dual."""
+    tab = h._high if upper else h._low
+    if tab is None:
+        S, _, to_sub = h.image_sublattice()
+        L = S.dual() if upper else S
+        rho, rank = d_rank(L)
         if rank is None:
-            raise NotBoundedError(f"hom onto {h.target.name} is not lower bounded")
-        tab: dict[int, Term] = {}
-        for q in sorted(join_irreducibles(S), key=rho.__getitem__):
-            above = [gen(n) for n in h.gens.names
-                     if h.target.leq(to_target[q], h.images[n])]
-            parts = [meet(*above) if above else h.gens.top()]
-            for C in minimal_join_covers(S, q):
-                parts.append(join(*[tab[c] for c in C]))
-            tab[q] = canonical_form(meet(*parts))
-        h._betas = tab
-    return h._betas
+            side = "upper" if upper else "lower"
+            raise NotBoundedError(f"hom onto {h.target.name} is not {side} bounded")
+        cup, cap = (meet, join) if upper else (join, meet)
+        none_above = h.gens.bottom() if upper else h.gens.top()
+        gens = [(gen(n), to_sub[h.images[n]]) for n in h.gens.names]
+        tab = {}
+        for q in sorted(join_irreducibles(L), key=rho.__getitem__):
+            above = [g for g, v in gens if L.up[q] >> v & 1]
+            parts = [cap(*above) if above else none_above]
+            for C in minimal_join_covers(L, q):
+                parts.append(cup(*[tab[c] for c in C]))
+            tab[q] = canonical_form(cap(*parts))
+        if upper:
+            h._high = tab
+        else:
+            h._low = tab
+    return tab
+
+
+def _bound(h: Hom, a: int, upper: bool) -> Term:
+    """beta(a), or with upper alpha(a): the join (meet) of the table
+    entries at or below a in the image sublattice (its dual)."""
+    S, _, to_sub = h.image_sublattice()
+    if a not in to_sub:   # first, since a negative a is another's alpha key
+        raise ValueError(
+            f"{h.target.labels[a]!r} is not in the image sublattice of the hom")
+    if h._answers is None:
+        h._answers = {}
+    key = ~a if upper else a
+    t = h._answers.get(key)
+    if t is None:
+        tab = _bound_tables(h, upper)
+        below = (S.up if upper else S.down)[to_sub[a]]
+        parts = [tab[q] for q in _bits(below) if q in tab]
+        if parts:
+            t = canonical_form((meet if upper else join)(*parts))
+        else:
+            t = h.gens.top() if upper else h.gens.bottom()
+        h._answers[key] = t
+    return t
 
 
 def beta(h: Hom, a: int) -> Term:
     """Least term mapping to a, canonical; a must lie in the image sublattice."""
-    lo = h._lo.get(a)
-    if lo is None:
-        S, _, to_sub = h.image_sublattice()
-        if a not in to_sub:
-            raise ValueError(
-                f"{h.target.labels[a]!r} is not in the image sublattice of the hom")
-        tab = _beta_tables(h)
-        s = to_sub[a]
-        parts = [tab[q] for q in sorted(tab) if S.leq(q, s)]
-        lo = canonical_form(join(*parts)) if parts else h.gens.bottom()
-        h._lo[a] = lo
-    return lo
+    return _bound(h, a, False)
 
 
 def alpha(h: Hom, a: int) -> Term:
-    """Greatest term mapping to a: beta of the dual, dualized back."""
-    hi = h._hi.get(a)
-    if hi is None:
-        try:
-            bd = beta(h.dual(), a)
-        except NotBoundedError:
-            raise NotBoundedError(
-                f"hom onto {h.target.name} is not upper bounded") from None
-        hi = h._hi[a] = canonical_form(dual_term(bd))
-    return hi
+    """Greatest term mapping to a, canonical; a must lie in the image sublattice."""
+    return _bound(h, a, True)
 
 
 def kernel_table(h: Hom) -> dict[int, tuple[Term, Term]]:

@@ -9,7 +9,7 @@ from freelat.bhom import (
     Hom,
     NotBoundedError,
     Tower,
-    _beta_tables,
+    _bound_tables,
     alpha,
     beta,
     compare_stages,
@@ -33,7 +33,15 @@ from freelat.finlat import (
     join_irreducibles,
     minimal_join_covers,
 )
-from freelat.terms import GeneratorSet, gen, join, meet, parse_term, print_term
+from freelat.terms import (
+    GeneratorSet,
+    dual_term,
+    gen,
+    join,
+    meet,
+    parse_term,
+    print_term,
+)
 from freelat.whitman import canonical_form, leq
 
 G = GeneratorSet(("x", "y", "z"))
@@ -51,6 +59,9 @@ def test_hom_validation():
         Hom(G, N5, {"x": 0, "y": 1, "z": 2, "w": 3})
     with pytest.raises(ValueError, match="range"):
         Hom(G, N5, {"x": 0, "y": 1, "z": 9})
+    for bad in (1.0, "1", None, True):
+        with pytest.raises(ValueError, match="image of 'z' is not an integer"):
+            Hom(G, N5, {"x": 0, "y": 1, "z": bad})
 
 
 def test_eval_is_a_homomorphism():
@@ -95,8 +106,8 @@ def test_eval_matches_memoised_table_recursion_on_catalog_maps(rng):
 
 
 def iterated_beta_tables(h):
-    """Oracle: the fixed-point iteration _beta_tables ran before it became
-    one pass in D-rank order.  Every join irreducible starts at the meet
+    """Oracle: the fixed-point iteration the beta tables ran before they
+    became one pass in D-rank order.  Every join irreducible starts at the meet
     of the generators sent above it and is met, round after round, with
     the joins of the current tables over its minimal join covers."""
     S, to_target, _ = h.image_sublattice()
@@ -125,25 +136,45 @@ def iterated_beta_tables(h):
 
 
 def test_one_pass_beta_matches_iteration_on_every_catalog_map():
-    homs = [doubled_hom(), pentagon_hom()]
-    for L in catalog():
-        for images in itertools.product(range(L.n), repeat=3):
-            homs.append(Hom(G, L, dict(zip(G.names, images))))
+    # the upper side is checked against beta iterated on the same images
+    # in the dual target, dualized back
     bounded = unbounded = 0
-    for h in homs:
-        for side in (h, h.dual()):
+    for h in catalog_homs():
+        on_dual = Hom(h.gens, h.target.dual(), h.images)
+        for upper, oracle_map in ((False, h), (True, on_dual)):
             try:
-                want = iterated_beta_tables(side)
+                want = iterated_beta_tables(oracle_map)
             except NotBoundedError:
-                with pytest.raises(NotBoundedError, match="lower bounded"):
-                    _beta_tables(side)
+                side = "upper" if upper else "lower"
+                with pytest.raises(NotBoundedError, match=f"{side} bounded"):
+                    _bound_tables(h, upper)
                 unbounded += 1
                 continue
-            got = _beta_tables(side)
+            if upper:
+                want = {q: canonical_form(dual_term(b)) for q, b in want.items()}
+            got = _bound_tables(h, upper)
             assert got.keys() == want.keys()
             assert all(got[q] is want[q] for q in want)
             bounded += 1
     assert (bounded, unbounded) == (1570, 12)
+
+
+def test_alpha_is_beta_on_the_dual_target_dualized():
+    """Oracle: alpha as it was computed before it ran on the map itself,
+    beta of the same images in the dual target, dualized back."""
+    unbounded = {"beta": 0, "alpha": 0}
+    for h in catalog_homs():
+        on_dual = Hom(h.gens, h.target.dual(), h.images)
+        elems = h.image_sublattice()[1]
+        want = [answer(beta, on_dual, a) for a in elems]
+        got = [answer(alpha, h, a) for a in elems]
+        if None in want:
+            assert set(want) == set(got) == {None}
+            unbounded["alpha"] += 1
+        else:
+            assert all(g is canonical_form(dual_term(w)) for g, w in zip(got, want))
+        unbounded["beta"] += answer(beta, h, elems[0]) is None
+    assert unbounded == {"beta": 6, "alpha": 6}
 
 
 def generation_oracle(h):
@@ -199,20 +230,22 @@ def answer(ask, h, a):
 def test_shared_sublattices_and_answers_match_cold_maps():
     unbounded = {"beta": 0, "alpha": 0}
     for h in catalog_homs():
-        for side in (h, h.dual()):
-            S, to_target, to_sub = side.image_sublattice()
-            W, want_to_target, want_to_sub = generation_oracle(side)
-            assert (S.up, S.labels) == (W.up, W.labels)
+        S, to_target, to_sub = h.image_sublattice()
+        # alpha reads S.dual(): the sublattice the images generate in the
+        # dual target, on the same indices
+        for L, T in ((S, h.target), (S.dual(), h.target.dual())):
+            W, want_to_target, want_to_sub = generation_oracle(Hom(h.gens, T, h.images))
+            assert (L.up, L.labels) == (W.up, W.labels)
             assert (to_target, to_sub) == (want_to_target, want_to_sub)
-            # one fresh copy per question, so alpha's dual is generated cold
-            for ask in (beta, alpha):
-                ref = cold(side)
-                got = [answer(ask, side, a) for a in to_target]
-                assert all(g is answer(ask, ref, a) for g, a in zip(got, to_target))
-                assert all(g is answer(ask, side, a) for g, a in zip(got, to_target))
-                if side is h and None in got:
-                    assert set(got) == {None}
-                    unbounded[ask.__name__] += 1
+        # one fresh copy per question, so each side's sublattice is generated cold
+        for ask in (beta, alpha):
+            ref = cold(h)
+            got = [answer(ask, h, a) for a in to_target]
+            assert all(g is answer(ask, ref, a) for g, a in zip(got, to_target))
+            assert all(g is answer(ask, h, a) for g, a in zip(got, to_target))
+            if None in got:
+                assert set(got) == {None}
+                unbounded[ask.__name__] += 1
     assert unbounded == {"beta": 6, "alpha": 6}
 
 
@@ -221,21 +254,31 @@ def test_maps_share_one_sublattice_per_target_and_image_set():
     a, b, c = (N5.index_of(lbl) for lbl in "abc")
     h = Hom(G, N5, {"x": c, "y": b, "z": a})
     S = h.image_sublattice()[0]
-    assert Hom(G, N5, {"x": a, "y": c, "z": b}).image_sublattice()[0] is S
+    k = Hom(G, N5, {"x": a, "y": c, "z": b})
+    assert k.image_sublattice()[0] is S
     assert Hom(G, N5, {"x": a, "y": a, "z": b}).image_sublattice()[0] is not S
-    assert h.dual().image_sublattice()[0] is S.dual() and h.dual().dual() is h
-    assert Hom(G, N5, {"x": b, "y": a, "z": c}).dual().image_sublattice()[0] is S.dual()
+    # alpha of both maps reads the one cached S.dual(), and nothing is
+    # built on the dual target
+    for m in (h, k):
+        elems = m.image_sublattice()[1]
+        assert [m.eval(alpha(m, e)) for e in elems] == elems
+    assert S.dual()._rank is not None and S.dual().dual() is S
+    assert N5._dual is None
     # a map built on the dual target itself generates its own sublattice
     assert Hom(G, N5.dual(), h.images).image_sublattice()[0] is not S.dual()
-    # the dual side first: the target side reads its dual back
+    # alpha first: beta then reads the sublattice whose dual alpha read
     M = m3()
     k = Hom(G, M, {"x": M.bottom, "y": M.index_of("a"), "z": M.index_of("b")})
-    Sd = k.dual().image_sublattice()[0]
+    alpha(k, M.bottom)
+    Sd = k.image_sublattice()[0].dual()
+    beta(k, M.bottom)
+    assert set(k._high) == set(join_irreducibles(Sd))
+    assert set(k._low) == set(join_irreducibles(Sd.dual()))
     assert k.image_sublattice()[0] is Sd.dual()
     # a separately built copy of the same lattice shares nothing
     other = Hom(G, pentagon(), h.images)
     assert other.image_sublattice()[0] is not S
-    assert other.dual().image_sublattice()[0] is not S.dual()
+    assert other.image_sublattice()[0].dual() is not S.dual()
 
 
 def test_image_sets_with_one_closure_share_one_sublattice():
@@ -245,10 +288,11 @@ def test_image_sets_with_one_closure_share_one_sublattice():
     # {a, b} and {a, b, 1} both generate {0, a, b, 1}
     assert S.labels == ["0", "a", "b", "1"]
     assert Hom(G, N5, {"x": a, "y": b, "z": N5.top}).image_sublattice()[0] is S
-    # so do {a, b, 0}, and the dual of that map reads the dual
+    # so do {a, b, 0}, and alpha of that map reads the one dual
     k = Hom(G, N5, {"x": a, "y": b, "z": N5.bottom})
     assert k.image_sublattice()[0] is S
-    assert k.dual().image_sublattice()[0] is S.dual()
+    assert print_term(alpha(k, a)) == "x+z" and k.eval(parse_term("x+z", G)) == a
+    assert k.image_sublattice()[0].dual() is S.dual()
 
 
 def test_sublattices_and_answers_do_not_outlive_their_target():
@@ -267,24 +311,28 @@ def test_sublattices_and_answers_do_not_outlive_their_target():
     assert ref() is None and ref_dual() is None
 
 
-def test_a_map_and_its_dual_are_freed_without_the_cycle_collector():
+def test_a_map_is_freed_without_the_cycle_collector():
     N5 = pentagon()
     images = {"x": N5.index_of("c"), "y": N5.index_of("b"), "z": N5.index_of("a")}
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         h = Hom(G, N5, images)
-        a = h.eval(parse_term("x*(y+z)", G))
-        assert h.eval(alpha(h, a)) == a   # alpha reads the dual's beta
-        d = h.dual()
-        assert d.dual() is h
-        refs = weakref.ref(h), weakref.ref(d)
-        del h, d
-        assert [r() for r in refs] == [None, None]
-        # a dual whose map has gone makes a new map on the original target
-        d = Hom(G, N5, images).dual()
-        assert d.dual().target is N5 and d.dual() is d.dual()
-        assert d.dual().dual() is d
+        S, elems, _ = h.image_sublattice()
+        for a in elems:
+            assert h.eval(beta(h, a)) == a == h.eval(alpha(h, a))
+        # the per-map state: the shared sublattice, the two tables, and one
+        # dict of answers, beta(a) at a and alpha(a) at ~a
+        assert Hom.__slots__ == ("gens", "target", "images", "_sub", "_low",
+                                 "_high", "_answers", "__weakref__")
+        assert h._sub is N5._subs[frozenset(images.values())]
+        assert set(h._low) == set(join_irreducibles(S))
+        assert set(h._high) == set(join_irreducibles(S.dual()))
+        assert h._answers == {**{a: beta(h, a) for a in elems},
+                              **{~a: alpha(h, a) for a in elems}}
+        ref = weakref.ref(h)
+        del h
+        assert ref() is None
     finally:
         if was_enabled:
             gc.enable()
@@ -352,6 +400,11 @@ def test_beta_rejects_non_image_elements():
     h = Hom(G, N5, {n: N5.index_of("b") for n in G.names})
     with pytest.raises(ValueError, match="image sublattice"):
         beta(h, N5.index_of("a"))
+    # alpha(a) is kept at key ~a, which a negative element must not reach
+    h = pentagon_hom()
+    alpha(h, 0)
+    with pytest.raises(ValueError, match="image sublattice"):
+        beta(h, ~0)
 
 
 def test_class_of():
