@@ -17,12 +17,15 @@ both sides exist.
 
 Maps on one target object with the same set of images share one image
 sublattice, kept on the target (finlat.generated_sublattice), and its
-cached dual.  Each map keeps its two tables and one dict of answers,
-at most one beta and one alpha per image element.
+cached dual.  beta and alpha depend only on the map onto its image, so
+maps with the same generator names, generators' places in the image
+sublattice and sublattice order share one kernel, alive while they are:
+the two tables and at most one beta and one alpha per sublattice element.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .finlat import (
@@ -41,9 +44,19 @@ class NotBoundedError(ValueError):
     pass
 
 
+class _Kernel:
+    __slots__ = ("tables", "answers", "__weakref__")
+
+    def __init__(self):
+        self.tables = [None, None]   # beta's and alpha's, indexed by upper
+        self.answers = {}   # beta at sublattice index s, alpha at ~s
+
+
+_KERNELS: weakref.WeakValueDictionary[tuple, _Kernel] = weakref.WeakValueDictionary()
+
+
 class Hom:
-    __slots__ = ("gens", "target", "images", "_sub", "_low", "_high",
-                 "_answers", "__weakref__")
+    __slots__ = ("gens", "target", "images", "_sub", "_kernel", "__weakref__")
 
     def __init__(self, gens: GeneratorSet, target: FiniteLattice,
                  images: dict[str, int]):
@@ -61,9 +74,7 @@ class Hom:
         self.gens = gens
         self.target = target
         self.images = dict(images)
-        self._sub = None
-        self._low = self._high = None   # beta and alpha tables
-        self._answers = None   # beta(a) at key a, alpha(a) at key ~a
+        self._sub = self._kernel = None
 
     def __repr__(self) -> str:
         ims = ", ".join(f"{n}={self.target.labels[self.images[n]]}"
@@ -91,11 +102,22 @@ def is_upper_bounded(h: Hom) -> bool:
     return d_rank(h.image_sublattice()[0].dual())[1] is not None
 
 
+def _kernel(h: Hom) -> _Kernel:
+    """The kernel h shares with every live map of the same generator
+    names, their indices in the image sublattice and its order."""
+    if h._kernel is None:
+        S, _, to_sub = h.image_sublattice()
+        key = h.gens.names, tuple(to_sub[h.images[n]] for n in h.gens.names), tuple(S.up)
+        h._kernel = _KERNELS.setdefault(key, _Kernel())
+    return h._kernel
+
+
 def _bound_tables(h: Hom, upper: bool) -> dict[int, Term]:
     """beta of each join irreducible of the image sublattice, filled in
     one pass in D-rank order (see the module docstring); with upper,
     alpha of each meet irreducible, by the same pass over the dual."""
-    tab = h._high if upper else h._low
+    tables = _kernel(h).tables
+    tab = tables[upper]
     if tab is None:
         S, _, to_sub = h.image_sublattice()
         L = S.dual() if upper else S
@@ -113,24 +135,22 @@ def _bound_tables(h: Hom, upper: bool) -> dict[int, Term]:
             for C in minimal_join_covers(L, q):
                 parts.append(cup(*[tab[c] for c in C]))
             tab[q] = canonical_form(cap(*parts))
-        if upper:
-            h._high = tab
-        else:
-            h._low = tab
+        tables[upper] = tab
     return tab
 
 
 def _bound(h: Hom, a: int, upper: bool) -> Term:
     """beta(a), or with upper alpha(a): the join (meet) of the table
     entries at or below a in the image sublattice (its dual)."""
+    if type(a) is not int or not 0 <= a < h.target.n:
+        raise ValueError(f"{a!r} is not an element of {h.target.name}")
     S, _, to_sub = h.image_sublattice()
-    if a not in to_sub:   # first, since a negative a is another's alpha key
+    if a not in to_sub:
         raise ValueError(
             f"{h.target.labels[a]!r} is not in the image sublattice of the hom")
-    if h._answers is None:
-        h._answers = {}
-    key = ~a if upper else a
-    t = h._answers.get(key)
+    key = ~to_sub[a] if upper else to_sub[a]
+    answers = _kernel(h).answers
+    t = answers.get(key)
     if t is None:
         tab = _bound_tables(h, upper)
         below = (S.up if upper else S.down)[to_sub[a]]
@@ -139,7 +159,7 @@ def _bound(h: Hom, a: int, upper: bool) -> Term:
             t = canonical_form((meet if upper else join)(*parts))
         else:
             t = h.gens.top() if upper else h.gens.bottom()
-        h._answers[key] = t
+        answers[key] = t
     return t
 
 

@@ -83,7 +83,7 @@ def verify_figure1() -> Report:
 
 # interval shapes of the doubled map's kernel classes, one per class
 # orbit under permuting x, y, z
-_A_CLASS_SHAPES = [
+_A_CLASS_SHAPES = (
     ("(x+y)(x+z)", "(x+y)(x+z)"),
     ("x+y", "x+y"),
     ("x+z", "x+z"),
@@ -96,7 +96,7 @@ _A_CLASS_SHAPES = [
     ("xz", "xz"),
     ("xyz", "xyz"),
     ("xy+xz+yz", "(x+y)(x+z)(y+z)"),
-]
+)
 
 
 def verify_figure2() -> Report:
@@ -134,13 +134,13 @@ def verify_figure2() -> Report:
     return rep
 
 
-_N5_CLASSES = [
+_N5_CLASSES = (
     ("0", "xyz", "z(x+y)"),
     ("a", "z", "z"),
     ("b", "xy", "y+z(x+y)"),
     ("c", "x(z+xy)", "x+y"),
     ("1", "z+xy", "x+y+z"),
-]
+)
 
 
 def verify_figure3() -> Report:

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 import weakref
 
 import pytest
@@ -9,6 +10,7 @@ from freelat.bhom import (
     Hom,
     NotBoundedError,
     Tower,
+    _KERNELS,
     _bound_tables,
     alpha,
     beta,
@@ -45,6 +47,10 @@ from freelat.terms import (
 from freelat.whitman import canonical_form, leq
 
 G = GeneratorSet(("x", "y", "z"))
+# names no map outside the tests below has, so kernels over them start
+# cold and die with those tests' maps (test_acceptance keeps its catalog
+# maps over x, y, z, and so their kernels, for the whole session)
+P = GeneratorSet(("p", "q", "r"))
 
 
 def t(src):
@@ -252,11 +258,11 @@ def test_shared_sublattices_and_answers_match_cold_maps():
 def test_maps_share_one_sublattice_per_target_and_image_set():
     N5 = pentagon()
     a, b, c = (N5.index_of(lbl) for lbl in "abc")
-    h = Hom(G, N5, {"x": c, "y": b, "z": a})
+    h = Hom(P, N5, {"p": c, "q": b, "r": a})
     S = h.image_sublattice()[0]
-    k = Hom(G, N5, {"x": a, "y": c, "z": b})
+    k = Hom(P, N5, {"p": a, "q": c, "r": b})
     assert k.image_sublattice()[0] is S
-    assert Hom(G, N5, {"x": a, "y": a, "z": b}).image_sublattice()[0] is not S
+    assert Hom(P, N5, {"p": a, "q": a, "r": b}).image_sublattice()[0] is not S
     # alpha of both maps reads the one cached S.dual(), and nothing is
     # built on the dual target
     for m in (h, k):
@@ -265,18 +271,19 @@ def test_maps_share_one_sublattice_per_target_and_image_set():
     assert S.dual()._rank is not None and S.dual().dual() is S
     assert N5._dual is None
     # a map built on the dual target itself generates its own sublattice
-    assert Hom(G, N5.dual(), h.images).image_sublattice()[0] is not S.dual()
+    assert Hom(P, N5.dual(), h.images).image_sublattice()[0] is not S.dual()
     # alpha first: beta then reads the sublattice whose dual alpha read
     M = m3()
-    k = Hom(G, M, {"x": M.bottom, "y": M.index_of("a"), "z": M.index_of("b")})
+    k = Hom(P, M, {"p": M.bottom, "q": M.index_of("a"), "r": M.index_of("b")})
     alpha(k, M.bottom)
     Sd = k.image_sublattice()[0].dual()
     beta(k, M.bottom)
-    assert set(k._high) == set(join_irreducibles(Sd))
-    assert set(k._low) == set(join_irreducibles(Sd.dual()))
+    low, high = k._kernel.tables
+    assert set(high) == set(join_irreducibles(Sd))
+    assert set(low) == set(join_irreducibles(Sd.dual()))
     assert k.image_sublattice()[0] is Sd.dual()
-    # a separately built copy of the same lattice shares nothing
-    other = Hom(G, pentagon(), h.images)
+    # a separately built copy of the same lattice shares no sublattice
+    other = Hom(P, pentagon(), h.images)
     assert other.image_sublattice()[0] is not S
     assert other.image_sublattice()[0].dual() is not S.dual()
 
@@ -313,26 +320,100 @@ def test_sublattices_and_answers_do_not_outlive_their_target():
 
 def test_a_map_is_freed_without_the_cycle_collector():
     N5 = pentagon()
-    images = {"x": N5.index_of("c"), "y": N5.index_of("b"), "z": N5.index_of("a")}
+    images = {"p": N5.index_of("c"), "q": N5.index_of("b"), "r": N5.index_of("a")}
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        h = Hom(G, N5, images)
-        S, elems, _ = h.image_sublattice()
+        h = Hom(P, N5, images)
+        S, elems, to_sub = h.image_sublattice()
         for a in elems:
             assert h.eval(beta(h, a)) == a == h.eval(alpha(h, a))
-        # the per-map state: the shared sublattice, the two tables, and one
-        # dict of answers, beta(a) at a and alpha(a) at ~a
-        assert Hom.__slots__ == ("gens", "target", "images", "_sub", "_low",
-                                 "_high", "_answers", "__weakref__")
+        # the per-map state: the shared sublattice and the kernel, which
+        # holds the two tables and one dict of answers, beta(a) at the
+        # sublattice index s of a and alpha(a) at ~s
+        assert Hom.__slots__ == ("gens", "target", "images", "_sub", "_kernel",
+                                 "__weakref__")
         assert h._sub is N5._subs[frozenset(images.values())]
-        assert set(h._low) == set(join_irreducibles(S))
-        assert set(h._high) == set(join_irreducibles(S.dual()))
-        assert h._answers == {**{a: beta(h, a) for a in elems},
-                              **{~a: alpha(h, a) for a in elems}}
-        ref = weakref.ref(h)
+        low, high = h._kernel.tables
+        assert set(low) == set(join_irreducibles(S))
+        assert set(high) == set(join_irreducibles(S.dual()))
+        assert h._kernel.answers == {**{to_sub[a]: beta(h, a) for a in elems},
+                                     **{~to_sub[a]: alpha(h, a) for a in elems}}
+        ref, kernel_ref = weakref.ref(h), weakref.ref(h._kernel)
         del h
-        assert ref() is None
+        assert ref() is None and kernel_ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_maps_with_one_kernel_share_answers_across_targets():
+    # x to the bottom, y and z to the top: on a chain2 and on m3 the
+    # image sublattice is the same two-element chain
+    C, M = chain(2), m3()
+    h = Hom(G, C, {"x": C.bottom, "y": C.top, "z": C.top})
+    k = Hom(G, M, {"x": M.bottom, "y": M.top, "z": M.top})
+    for ask in (beta, alpha):
+        for a, b in ((C.bottom, M.bottom), (C.top, M.top)):
+            t = ask(h, a)
+            assert ask(k, b) is t
+            assert h.eval(t) == a and k.eval(t) == b
+    assert h._kernel is k._kernel
+
+
+def test_maps_over_other_generator_names_share_nothing():
+    N5 = pentagon()
+    H = GeneratorSet(("a", "b", "c"))
+    images = [N5.index_of(lbl) for lbl in "cba"]
+    h = Hom(G, N5, dict(zip(G.names, images)))
+    k = Hom(H, N5, dict(zip(H.names, images)))
+    rename = str.maketrans("xyz", "abc")
+    for ask in (beta, alpha):
+        for a in h.image_sublattice()[1]:
+            s, t = ask(h, a), ask(k, a)
+            assert h.eval(s) == a == k.eval(t)
+            assert print_term(t) == print_term(s).translate(rename)
+    assert h._kernel is not k._kernel
+
+
+def test_an_unbounded_kernel_names_each_map_target():
+    M = m3()
+    twin = FiniteLattice(M.up, M.labels, "m3 twin")
+    maps = [Hom(G, L, {n: L.index_of(lbl) for n, lbl in zip(G.names, "abc")})
+            for L in (M, twin)]
+    for h in maps:
+        for ask, side in ((beta, "lower"), (alpha, "upper")):
+            with pytest.raises(NotBoundedError,
+                               match=f"^hom onto {h.target.name} is not {side} bounded$"):
+                ask(h, h.target.index_of("a"))
+    assert maps[0]._kernel is maps[1]._kernel
+
+
+def test_catalog_maps_share_55_kernels_that_die_with_them():
+    def live():
+        return [k for key, k in list(_KERNELS.items()) if key[0] == P.names]
+
+    gc.collect()
+    assert live() == []
+    homs = [Hom(P, L, dict(zip(P.names, images))) for L in catalog()
+            for images in itertools.product(range(L.n), repeat=3)]
+    for h in homs:
+        for a in h.image_sublattice()[1]:
+            for ask in (beta, alpha):
+                t = answer(ask, h, a)
+                assert t is None or h.eval(t) == a
+    kernels = live()
+    assert len(homs) == 789 and len(kernels) == 55
+    assert {id(h._kernel) for h in homs} == {id(k) for k in kernels}
+    # 6 of the 55 are unbounded each way, so 49 tables on each side
+    assert [sum(k.tables[upper] is not None for k in kernels)
+            for upper in (False, True)] == [49, 49]
+    del kernels
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del homs, h
+        assert live() == []
     finally:
         if was_enabled:
             gc.enable()
@@ -400,11 +481,20 @@ def test_beta_rejects_non_image_elements():
     h = Hom(G, N5, {n: N5.index_of("b") for n in G.names})
     with pytest.raises(ValueError, match="image sublattice"):
         beta(h, N5.index_of("a"))
-    # alpha(a) is kept at key ~a, which a negative element must not reach
+    # alpha is kept at key ~s, which a negative element must not reach
     h = pentagon_hom()
     alpha(h, 0)
-    with pytest.raises(ValueError, match="image sublattice"):
+    with pytest.raises(ValueError, match="-1 is not an element of pentagon"):
         beta(h, ~0)
+
+
+@pytest.mark.parametrize("a", [99, "a", -1, True, 1.0])
+def test_beta_and_alpha_take_only_elements_of_the_target(a):
+    # Hom's rule for an image: an int index into the target
+    h = pentagon_hom()
+    for ask in (beta, alpha):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(a))} is not an element of pentagon$"):
+            ask(h, a)
 
 
 def test_class_of():

@@ -72,3 +72,47 @@ def test_every_absolute_import_is_from_the_standard_library():
             outside += [f"{path.name}:{node.lineno}:{n}" for n in names
                         if n.split(".")[0] not in sys.stdlib_module_names]
     assert not outside, f"imports outside the standard library: {outside}"
+
+
+# Every store in the package that lasts as long as the process, with what
+# bounds it.  A new cache is declared here on purpose, or belongs to an
+# object its caller owns.
+STORES = {
+    "terms._INTERN": "every term ever made; never shrinks (_JOINS, _MEETS are two of its tables)",
+    "terms._GEN_BITS": "one bit per generator name ever seen",
+    "whitman._LEQ": "one entry per pair leq decided; never shrinks",
+    "whitman._CANON": "one entry per term canonicalised; never shrinks",
+    "bhom._KERNELS": "weak: a kernel lives while some live map holds it",
+    "builders._BUILTINS": "constant: the builtin lattices' makers by name",
+    "builders.build_fd3": "one entry: it takes no arguments",
+    "builders._default_a": "one entry: it takes no arguments",
+    "cli._build_parser": "one entry: it takes no arguments",
+}
+
+CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque",
+              "count", "WeakValueDictionary", "WeakKeyDictionary", "WeakSet"}
+
+
+def _called_name(node):
+    f = node.func if isinstance(node, ast.Call) else node
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+
+def test_every_process_lifetime_store_is_declared():
+    found = set()
+    for path in sorted(PKG.glob("*.py")):
+        mod = path.stem
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                v = node.value
+                if (isinstance(v, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                                   ast.ListComp, ast.SetComp))
+                        or isinstance(v, ast.Call) and _called_name(v) in CONTAINERS):
+                    found |= {f"{mod}.{t.id}" for t in targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.FunctionDef):
+                if any(_called_name(d) in ("cache", "lru_cache") for d in node.decorator_list):
+                    found.add(f"{mod}.{node.name}")
+    assert found == STORES.keys(), (f"undeclared: {sorted(found - STORES.keys())}, "
+                                    f"gone: {sorted(STORES.keys() - found)}")
+    assert all(note.strip() for note in STORES.values())
